@@ -18,9 +18,11 @@ type report = {
 
 let default_work_budget = 10_000_000
 
+(* Exact U > m over the hyperperiod.  If [m * den] would overflow it
+   exceeds [num] anyway, so the guard keeps the product from wrapping. *)
 let utilization_exceeds ts ~m =
   let num, den = Taskset.utilization_num_den ts in
-  num > m * den
+  m <= max_int / den && num > m * den
 
 (* ------------------------------------------------------------------ *)
 (* Work budget: every window-based pass draws from a shared pool and, on
@@ -45,16 +47,15 @@ let spend b cost ~note =
   end
 
 (* Cost of building and sweeping the window tables: one n·T slot table
-   plus Σ (T/T_i)·D_i window cells. *)
+   plus Σ (T/T_i)·D_i window cells, saturating at [max_int] so that a
+   huge hyperperiod cannot wrap to a cost the budget accepts. *)
 let window_work ts =
   let t = Taskset.hyperperiod ts in
-  let n = Taskset.size ts in
-  let cells =
-    Array.fold_left
-      (fun acc (task : Task.t) -> acc + (t / task.period * task.deadline))
-      0 (Taskset.tasks ts)
-  in
-  (n * t) + cells
+  let add a b = if a > max_int - b then max_int else a + b in
+  let mul a b = if a > 0 && b > max_int / a then max_int else a * b in
+  Array.fold_left
+    (fun acc (task : Task.t) -> add acc (mul (t / task.period) task.deadline))
+    (mul (Taskset.size ts) t) (Taskset.tasks ts)
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint state at a fixed m.  [allowed] mirrors the replay state of
@@ -193,9 +194,10 @@ let supply_bound ts windows =
 
 (* ------------------------------------------------------------------ *)
 (* Interval demand-bound tests.  Candidate intervals are the cyclic
-   [start, start+len) whose endpoints are window boundaries (release
-   instants and absolute deadlines folded mod T) — the only places where
-   a job's forced contribution max(0, C − slots outside) changes.       *)
+   [start, start+len) that open at a release instant and close at an
+   absolute deadline, both folded mod T: the processor-demand argument
+   needs no others, since a job's forced contribution
+   max(0, C − slots outside) only changes at its window boundaries.    *)
 
 let boundary_points ts windows =
   let horizon = Windows.horizon windows in
@@ -206,115 +208,82 @@ let boundary_points ts windows =
       starts.(Intmath.imod job.release horizon) <- true;
       ends.(Intmath.imod (job.release + task.deadline) horizon) <- true)
     (Windows.jobs windows);
-  let collect flags =
-    let acc = ref [] in
-    for s = horizon - 1 downto 0 do
-      if flags.(s) then acc := s :: !acc
-    done;
-    !acc
-  in
-  (collect starts, collect ends)
+  (starts, ends)
 
-let overlap a b c d = Int.max 0 (Int.min b d - Int.max a c)
-
-(* Pristine slots of [job] inside the cyclic interval, in O(1): both the
-   window [r, r+D) and the interval live in [0, 2T), so three interval
-   copies (shifted by −T, 0, +T) cover every cyclic intersection. *)
-let pristine_inside ~horizon ~release ~deadline ~start ~len =
-  let r2 = release + deadline in
-  overlap release r2 (start - horizon) (start + len - horizon)
-  + overlap release r2 start (start + len)
-  + overlap release r2 (start + horizon) (start + len + horizon)
-
-(* Sweep all candidate intervals on the pristine windows.  Returns the max
-   lower bound ⌈demand/len⌉ and, when [detect_m] is given, the first
-   interval whose forced demand exceeds m·len. *)
-let pristine_interval_scan ts windows budget ?detect_m () =
+(* One sweep per start point over the slots after it, keeping
+   demand = Σ_jobs max(0, inside − slack) up to date, where [inside]
+   counts a job's cells in [start, start+len) and slack = cells − C.  The
+   cells are every window cell on the pristine windows, or, with
+   [allowed], those the fixpoint left (blocking a cell only raises
+   demand).  Returns the max lower bound ⌈demand/len⌉ over the deadline
+   points and, with [detect_m], the first interval in (start, end) order
+   whose demand exceeds m·len.  Each start costs T + cells + jobs, which
+   is what it is charged. *)
+let interval_scan ts windows ?allowed budget ?detect_m () =
   let horizon = Windows.horizon windows in
   let jobs = Windows.jobs windows in
-  let wcet = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
-  let deadline = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).deadline) jobs in
+  let njobs = Array.length jobs in
+  let counts task s = match allowed with None -> true | Some a -> a.(task).(s) in
+  (* The jobs with a counted cell at each slot, and each job's slack. *)
+  let at_slot = Array.make horizon [] and slack = Array.make njobs 0 in
+  Array.iteri
+    (fun g (job : Windows.job) ->
+      slack.(g) <- -(Taskset.task ts job.task).wcet;
+      Array.iter
+        (fun s ->
+          if counts job.task s then begin
+            at_slot.(s) <- g :: at_slot.(s);
+            slack.(g) <- slack.(g) + 1
+          end)
+        job.slots)
+    jobs;
+  let cells = Array.fold_left (fun acc l -> acc + List.length l) 0 at_slot in
+  let at_slot = Array.map Array.of_list at_slot in
+  let note =
+    (if Option.is_some allowed then "post-fixpoint " else "")
+    ^ "interval pass truncated: work budget exhausted mid-sweep"
+  in
   let starts, ends = boundary_points ts windows in
-  let per_start = List.length ends * Array.length jobs in
-  let bound = ref 1 in
-  let hit = ref None in
+  let inside = Array.make njobs 0 in
+  let bound = ref 1 and hit = ref None in
   (try
-     List.iter
-       (fun start ->
-         if
-           not
-             (spend budget per_start
-                ~note:"interval pass truncated: work budget exhausted mid-sweep")
-         then raise Exit;
-         List.iter
-           (fun e ->
-             let len = Intmath.imod (e - start) horizon in
-             (* len = 0 would be the full hyperperiod: that is exactly the
-                utilization test, already run. *)
-             if len > 0 then begin
-               let demand = ref 0 in
-               Array.iteri
-                 (fun g (job : Windows.job) ->
-                   let inside =
-                     pristine_inside ~horizon ~release:job.release ~deadline:deadline.(g)
-                       ~start ~len
-                   in
-                   demand := !demand + Int.max 0 (wcet.(g) - (deadline.(g) - inside)))
-                 jobs;
-               if !demand > 0 then bound := Int.max !bound (Intmath.cdiv !demand len);
-               match detect_m with
-               | Some m when !hit = None && !demand > m * len ->
-                 hit := Some (start, len, !demand)
-               | _ -> ()
-             end)
-           ends)
-       starts
+     for start = 0 to horizon - 1 do
+       if starts.(start) then begin
+         if not (spend budget (horizon + cells + njobs) ~note) then raise Exit;
+         Array.fill inside 0 njobs 0;
+         let demand = ref 0 and first_end = ref None in
+         (* [e] walks the slots: slot e joins, then the interval
+            [start, start+len) ends at the next one.  len = T would be the
+            full hyperperiod: that is exactly the utilization test, already
+            run. *)
+         let e = ref start in
+         for len = 1 to horizon - 1 do
+           let here = at_slot.(!e) in
+           for k = 0 to Array.length here - 1 do
+             let g = here.(k) in
+             inside.(g) <- inside.(g) + 1;
+             if inside.(g) > slack.(g) then incr demand
+           done;
+           e := if !e = horizon - 1 then 0 else !e + 1;
+           if ends.(!e) then begin
+             bound := Int.max !bound (Intmath.cdiv !demand len);
+             match detect_m with
+             | Some m when Option.is_none !hit && !demand > m * len -> (
+               (* Ends are ranked by slot, so one past the wrap (e < start)
+                  outranks every earlier one. *)
+               match !first_end with
+               | Some (e', _, _) when e' < !e -> ()
+               | _ -> first_end := Some (!e, len, !demand))
+             | _ -> ()
+           end
+         done;
+         match !first_end with
+         | Some (_, len, demand) -> hit := Some (start, len, demand)
+         | None -> ()
+       end
+     done
    with Exit -> ());
   (!bound, !hit)
-
-(* Same detection on the post-fixpoint windows (needed once saturation has
-   blocked cells: demand can only grow, so this subsumes the pristine
-   detection).  Per-job counts scan the window slots, mirroring
-   Certificate.validate exactly. *)
-let post_interval_scan fx budget =
-  let horizon = fx.horizon in
-  let jobs = Windows.jobs fx.windows in
-  let wcet = Array.map (fun (j : Windows.job) -> (Taskset.task fx.ts j.task).wcet) jobs in
-  let starts, ends = boundary_points fx.ts fx.windows in
-  let window_cells = Array.fold_left (fun acc (j : Windows.job) -> acc + Array.length j.slots) 0 jobs in
-  let per_start = List.length ends * window_cells in
-  let hit = ref None in
-  (try
-     List.iter
-       (fun start ->
-         if
-           not
-             (spend budget per_start
-                ~note:"post-fixpoint interval pass truncated: work budget exhausted mid-sweep")
-         then raise Exit;
-         List.iter
-           (fun e ->
-             let len = Intmath.imod (e - start) horizon in
-             if len > 0 && !hit = None then begin
-               let demand = ref 0 in
-               Array.iteri
-                 (fun g (job : Windows.job) ->
-                   let inside = ref 0 and total = ref 0 in
-                   Array.iter
-                     (fun s ->
-                       if fx.allowed.(job.task).(s) then begin
-                         incr total;
-                         if Intmath.imod (s - start) horizon < len then incr inside
-                       end)
-                     job.slots;
-                   demand := !demand + Int.max 0 (wcet.(g) - (!total - !inside)))
-                 jobs;
-               if !demand > fx.m * len then hit := Some (start, len, !demand)
-             end)
-           ends)
-       starts
-   with Exit -> ());
-  !hit
 
 (* ------------------------------------------------------------------ *)
 (* Post-fixpoint per-slot availability and supply.                      *)
@@ -337,10 +306,48 @@ let post_supply fx avail = Array.fold_left (fun acc a -> acc + Int.min fx.m a) 0
    only if every job is fully served — and re-checked by Verify before the
    verdict is trusted. *)
 
+(* At each unrolled slot x a processor runs, of its tasks' jobs with
+   r ≤ x < r + D and work left, the one with the earliest absolute
+   deadline, the lowest task id on a tie.  A constrained-deadline task has
+   at most one such job: the one whose cyclic window holds x mod T, if
+   its unrolled window holds x too.  Returns the schedule and each job's
+   unserved units. *)
+let edf_pack ts windows ~m ~assign =
+  let horizon = Windows.horizon windows in
+  let jobs = Windows.jobs windows in
+  let rem = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
+  let sched = Schedule.create ~m ~horizon in
+  for proc = 0 to m - 1 do
+    let mine = List.filter (fun i -> assign.(i) = proc) (List.init (Taskset.size ts) Fun.id) in
+    for x = 0 to (2 * horizon) - 1 do
+      let t = Intmath.imod x horizon in
+      if Schedule.get sched ~proc ~time:t = Schedule.idle then begin
+        let best = ref (-1) and best_deadline = ref max_int in
+        List.iter
+          (fun i ->
+            let g = Windows.job_id_at windows ~task:i ~time:t in
+            if g >= 0 && rem.(g) > 0 then begin
+              let release = jobs.(g).release in
+              let deadline = release + (Taskset.task ts i).deadline in
+              if release <= x && x < deadline && deadline < !best_deadline then begin
+                best := g;
+                best_deadline := deadline
+              end
+            end)
+          mine;
+        if !best >= 0 then begin
+          Schedule.set sched ~proc ~time:t jobs.(!best).task;
+          rem.(!best) <- rem.(!best) - 1
+        end
+      end
+    done
+  done;
+  (sched, rem)
+
 let try_partition fx budget =
   let ts = fx.ts and m = fx.m and horizon = fx.horizon in
-  let jobs = Windows.jobs fx.windows in
-  let cost = 2 * horizon * (Array.length jobs + fx.n) in
+  (* Each of 2T unrolled slots per processor looks at its tasks once. *)
+  let cost = 2 * horizon * (fx.n + m) in
   if not (spend budget cost ~note:"partitioned-fit pass skipped: work budget exhausted") then
     None
   else begin
@@ -369,33 +376,7 @@ let try_partition fx budget =
       order;
     if not !fits then None
     else begin
-      let rem = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
-      let sched = Schedule.create ~m ~horizon in
-      for proc = 0 to m - 1 do
-        let mine =
-          Array.to_list jobs |> List.filter (fun (j : Windows.job) -> assign.(j.task) = proc)
-        in
-        for x = 0 to (2 * horizon) - 1 do
-          let t = Intmath.imod x horizon in
-          if Schedule.get sched ~proc ~time:t = Schedule.idle then begin
-            let best = ref None in
-            List.iter
-              (fun (j : Windows.job) ->
-                let d = (Taskset.task ts j.task).deadline in
-                let g = Windows.global_index fx.windows ~task:j.task ~index:j.index in
-                if rem.(g) > 0 && j.release <= x && x < j.release + d then
-                  match !best with
-                  | Some (key, _) when key <= (j.release + d, j.task, j.index) -> ()
-                  | _ -> best := Some ((j.release + d, j.task, j.index), g))
-              mine;
-            match !best with
-            | Some ((_, task, _), g) ->
-              Schedule.set sched ~proc ~time:t task;
-              rem.(g) <- rem.(g) - 1
-            | None -> ()
-          end
-        done
-      done;
+      let sched, rem = edf_pack ts fx.windows ~m ~assign in
       if Array.for_all (fun r -> r = 0) rem && Verify.is_feasible ts sched then Some sched
       else None
     end
@@ -434,7 +415,7 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
   in
   let num, den = Taskset.utilization_num_den ts in
   let u_bound = Intmath.cdiv num den in
-  if num > m * den then
+  if utilization_exceeds ts ~m then
     finish ~m_lower:u_bound ~skipped:[]
       (Infeasible { Certificate.m; steps = [ Certificate.Utilization { demand = num; supply = m * den } ] })
   else begin
@@ -475,14 +456,14 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
             (Infeasible (certificate fx (Certificate.Supply_shortfall { demand; supply = cap })))
         else begin
           (* Pristine sweep: lower bounds always; direct detection doubles
-             as the certificate source while no cell is blocked. *)
+             as the certificate source while no cell is blocked.  Once one
+             is, detection counts only the cells the fixpoint left. *)
           let detect_m = if fx.blocked_cells = 0 then Some m else None in
-          let bound, pristine_hit = pristine_interval_scan ts windows budget ?detect_m () in
+          let bound, pristine_hit = interval_scan ts windows budget ?detect_m () in
           m_low := Int.max !m_low bound;
           let hit =
-            match pristine_hit with
-            | Some _ -> pristine_hit
-            | None -> if fx.blocked_cells > 0 then post_interval_scan fx budget else None
+            if fx.blocked_cells = 0 then pristine_hit
+            else snd (interval_scan ts windows ~allowed:fx.allowed budget ~detect_m:m ())
           in
           match hit with
           | Some (start, len, demand) ->
@@ -510,8 +491,20 @@ let m_lower_bound ?(work_budget = default_work_budget) ts =
   if not (spend budget (window_work ts) ~note:"") then u_bound
   else begin
     let windows = Windows.build ts in
-    let bound, _ = pristine_interval_scan ts windows budget () in
+    let bound, _ = interval_scan ts windows budget () in
     Int.max
       (Int.max u_bound (zero_laxity_bound ts windows))
       (Int.max (supply_bound ts windows) bound)
   end
+
+module For_tests = struct
+  let interval_scan ?allowed ts ~m =
+    let unlimited = { left = max_int; notes = []; wall = Timer.unlimited } in
+    interval_scan ts (Windows.build ts) ?allowed unlimited ~detect_m:m ()
+
+  let fixpoint_allowed ts ~m =
+    let fx = make_fx ts ~m (Windows.build ts) in
+    match run_fixpoint fx with exception Contradiction _ -> None | () -> Some fx.allowed
+
+  let edf_pack ts ~m ~assign = edf_pack ts (Windows.build ts) ~m ~assign
+end

@@ -25,13 +25,18 @@
       until stable;
     + per-slot supply vs demand over the hyperperiod
       ([Σ_t min(m, available) < Σ C_i·T/T_i]);
-    + interval demand-bound tests: for window-aligned cyclic intervals
-      [[t1, t2)], the demand jobs are forced to place inside
-      ([Σ max(0, C − usable slots outside)]) vs the supply [m·(t2−t1)].
+    + interval demand-bound tests: for cyclic intervals [[t1, t2)] from a
+      release instant to an absolute deadline, the demand jobs are forced
+      to place inside ([Σ max(0, C − usable slots outside)]) vs the
+      supply [m·(t2−t1)].
 
-    Window-based passes cost [O(n·T + Σ T/T_i·D_i)] plus the interval
-    enumeration; passes whose cost would exceed [work_budget] are skipped
-    and {e reported} in {!report.skipped} — never silently dropped.
+    Window-based passes cost [O(n·T + Σ T/T_i·D_i)].  The interval tests
+    sweep the slots once per start point, keeping the demand up to date,
+    so they cost [O(starts·(T + window cells))]: a few milliseconds in the
+    paper's regime ([T ≤ 420]).  Every pass draws its cost from
+    [work_budget], the interval sweep one start point at a time; what
+    would overrun it is skipped and {e reported} in {!report.skipped} —
+    never silently dropped.
 
     Identical platforms and constrained-deadline task sets only: reduce
     arbitrary deadlines with {!Rt_model.Clone} first (as {!Core.solve}
@@ -79,5 +84,30 @@ val m_lower_bound : ?work_budget:int -> Rt_model.Taskset.t -> int
     @raise Invalid_argument on non-constrained-deadline task sets. *)
 
 val utilization_exceeds : Rt_model.Taskset.t -> m:int -> bool
-(** The paper's [r > 1] filter, computed exactly (no float rounding) —
-    kept as a named fast path for the experiment tables' filter column. *)
+(** The paper's [r > 1] filter, computed exactly (no float rounding and
+    no overflow of [m·T]) — kept as a named fast path for the experiment
+    tables' filter column and the serve front door. *)
+
+(**/**)
+
+(** Test-only access to the interval sweep and the EDF packing, at an
+    unlimited work budget. *)
+module For_tests : sig
+  val interval_scan :
+    ?allowed:bool array array -> Rt_model.Taskset.t -> m:int -> int * (int * int * int) option
+  (** [(bound, hit)]: the largest [⌈demand/len⌉] over the candidate
+      intervals, and the first [(start, len, demand)] in (start, end)
+      order with [demand > m·len].  [allowed.(task).(slot)] restricts the
+      counted window cells (default: all of them) and must leave every job
+      at least [C] of them. *)
+
+  val fixpoint_allowed : Rt_model.Taskset.t -> m:int -> bool array array option
+  (** The usable cells after the forced-slot fixpoint; [None] when the
+      fixpoint refutes [m]. *)
+
+  val edf_pack :
+    Rt_model.Taskset.t -> m:int -> assign:int array -> Rt_model.Schedule.t * int array
+  (** Per-processor EDF packing of [assign] (task → processor): the
+      schedule and each job's unserved units, jobs in {!Rt_model.Windows.jobs}
+      order. *)
+end

@@ -56,13 +56,17 @@ let allowed_inside st (job : Windows.job) ~start ~len =
       else acc)
     0 job.slots
 
+(* The supply of a utilization step is m·T itself, never a product that
+   wrapped past [max_int]. *)
+let utilization_holds ts ~m ~demand ~supply =
+  let num, den = Taskset.utilization_num_den ts in
+  demand = num && m <= max_int / den && supply = m * den && demand > supply
+
 let check_step st step =
   let horizon = Windows.horizon st.windows in
   let valid_slot time = time >= 0 && time < horizon in
   match step with
-  | Utilization { demand; supply } ->
-    let num, den = Taskset.utilization_num_den st.ts in
-    demand = num && supply = st.m * den && demand > supply
+  | Utilization { demand; supply } -> utilization_holds st.ts ~m:st.m ~demand ~supply
   | Forced { task; k } -> (
     match job_of st ~task ~k with
     | None -> false
@@ -133,9 +137,7 @@ let validate ts platform (cert : t) =
   in
   (* A bare utilization argument is checked without building windows. *)
   match cert.steps with
-  | [ Utilization { demand; supply } ] ->
-    let num, den = Taskset.utilization_num_den ts in
-    demand = num && supply = cert.m * den && demand > supply
+  | [ Utilization { demand; supply } ] -> utilization_holds ts ~m:cert.m ~demand ~supply
   | steps -> go steps
 
 let pp_step ppf = function

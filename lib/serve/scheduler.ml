@@ -110,12 +110,8 @@ type t = {
 (* The per-request pipeline. *)
 
 (* Exact necessary-condition check, U > m over the hyperperiod: answers
-   structurally infeasible requests without queueing any search.  The
-   product guard keeps the comparison exact — if [m * den] would overflow
-   then it exceeds [num] anyway. *)
-let front_door_infeasible ts ~m =
-  let num, den = Taskset.utilization_num_den ts in
-  if m <= max_int / den then num > m * den else false
+   structurally infeasible requests without queueing any search. *)
+let front_door_infeasible ts ~m = Analysis.utilization_exceeds ts ~m
 
 let decided_response (req : Proto.solve_request) ~verdict ~cached ~solver ~winner ~time_s
     ~stats ~schedule =

@@ -166,6 +166,25 @@ let test_wall_budget_skip_is_reported () =
   let report = A.analyze ~wall:cancelled ts ~m:2 in
   Alcotest.(check bool) "cancelled budget also skips" true (report.A.skipped <> [])
 
+(* T ≈ 1.6·10¹⁸ and U ≈ 0.0055, so m·T wraps past max_int at m = 5: the
+   utilization test must not read the wrapped product as a tiny supply.
+   The instance is far too large for the window passes, and the analyzer
+   may reject it outright, but it must never refute it. *)
+let wrapping_instance =
+  Taskset.of_tuples (List.map (fun p -> (0, 1, p, p)) [ 1097; 1093; 1091; 1087; 1069; 1063 ])
+
+let test_wrapping_supply () =
+  let ts = wrapping_instance in
+  Alcotest.(check bool) "r <= 1" false (A.utilization_exceeds ts ~m:5);
+  (match analyze ts ~m:5 with
+  | { A.verdict = A.Infeasible _; _ } -> Alcotest.fail "refuted a U = 0.0055 instance"
+  | _ | (exception Invalid_argument _) -> ());
+  let num, den = Taskset.utilization_num_den ts in
+  let step = A.Certificate.Utilization { demand = num; supply = 5 * den } in
+  let wrapped = { A.Certificate.m = 5; steps = [ step ] } in
+  Alcotest.(check bool) "the product wraps" true (5 * den < num);
+  Alcotest.(check bool) "wrapped supply rejected" false (validate ts ~m:5 wrapped)
+
 let test_rejects_bad_arguments () =
   Alcotest.check_raises "m = 0"
     (Invalid_argument "Analysis.analyze: m must be >= 1") (fun () ->
@@ -219,6 +238,116 @@ let test_certificate_pp () =
   let cert = infeasible_cert "interval trap" (analyze interval_trap ~m:1) in
   let s = Format.asprintf "%a" A.Certificate.pp cert in
   Alcotest.(check bool) "mentions the interval" true (contains s "interval")
+
+(* ------------------------------------------------------------------ *)
+(* The interval sweep and the EDF packing against their reference forms *)
+
+module Ref = Analysis_ref
+
+(* The references are cubic in the hyperperiod, so instances with T > 120
+   are drawn again. *)
+let rec reference_instance_gen () =
+  let open QCheck2.Gen in
+  Test_util.instance_gen ~nmax:8 ~tmax:8 () >>= fun (ts, m) ->
+  if Taskset.hyperperiod ts > 120 then reference_instance_gen ()
+  else
+    array_size (return (Taskset.size ts)) (int_range 0 (m - 1)) >>= fun assign ->
+    int_bound 1_000_000 >>= fun seed -> return (ts, m, assign, seed)
+
+let print_reference_instance (ts, m, assign, seed) =
+  Printf.sprintf "%s assign=[%s] seed=%d" (Test_util.print_instance (ts, m))
+    (String.concat ";" (Array.to_list (Array.map string_of_int assign)))
+    seed
+
+(* The cells the fixpoint leaves (all window cells when it refutes m),
+   thinned at random down to no fewer than C per job: the sweep's
+   allowed-aware mode on more blocked cells than the fixpoint alone
+   produces. *)
+let thinned_cells ts ~m ~seed =
+  let allowed =
+    match A.For_tests.fixpoint_allowed ts ~m with
+    | Some allowed -> allowed
+    | None ->
+      let allowed = Array.make_matrix (Taskset.size ts) (Taskset.hyperperiod ts) false in
+      Array.iter
+        (fun (job : Windows.job) ->
+          Array.iter (fun s -> allowed.(job.task).(s) <- true) job.slots)
+        (Windows.jobs (Windows.build ts));
+      allowed
+  in
+  let st = Random.State.make [| seed |] in
+  Array.iter
+    (fun (job : Windows.job) ->
+      let wcet = (Taskset.task ts job.task).wcet in
+      let usable s = allowed.(job.task).(s) in
+      let left = ref (List.length (List.filter usable (Array.to_list job.slots))) in
+      Array.iter
+        (fun s ->
+          if usable s && !left > wcet && Random.State.int st 4 = 0 then begin
+            allowed.(job.task).(s) <- false;
+            decr left
+          end)
+        job.slots)
+    (Windows.jobs (Windows.build ts));
+  allowed
+
+(* On the pristine windows and on blocked cells, the sweep finds the
+   reference recount's bound and first hit; the packing matches the
+   list-based EDF cell for cell for any task-to-processor assignment; and
+   every interval refutation re-validates. *)
+let prop_sweep_matches_reference =
+  qtest ~count:300 "interval sweep and EDF packing match their references"
+    (reference_instance_gen ()) ~print:print_reference_instance
+    (fun (ts, m, assign, seed) ->
+      let pristine = A.For_tests.interval_scan ts ~m = Ref.interval_scan ts ~m in
+      let blocked =
+        let allowed = thinned_cells ts ~m ~seed in
+        A.For_tests.interval_scan ~allowed ts ~m = Ref.interval_scan ~allowed ts ~m
+      in
+      let packing =
+        let sched, rem = A.For_tests.edf_pack ts ~m ~assign in
+        let ref_sched, ref_rem = Ref.edf_pack ts ~m ~assign in
+        Schedule.equal sched ref_sched && rem = ref_rem
+      in
+      let certified =
+        match (analyze ~work_budget:max_int ts ~m).A.verdict with
+        | A.Infeasible cert
+          when List.exists
+                 (function A.Certificate.Interval_demand _ -> true | _ -> false)
+                 cert.A.Certificate.steps ->
+          validate ts ~m cert
+        | _ -> true
+      in
+      pristine && blocked && packing && certified)
+
+(* The benchmark's fresh corpus, the paper's Section VII regime: at the
+   default work budget the static pass must finish on every instance that
+   gets past the utilization test, with no pass truncated or skipped.  The
+   number it decides is a deterministic count, pinned here. *)
+let test_fresh_corpus_complete () =
+  let corpus =
+    Gen.Generator.batch ~seed:0 ~count:64
+      (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)
+  in
+  let reached = ref 0 and decided = ref 0 in
+  Array.iter
+    (fun (ts, m) ->
+      if not (A.utilization_exceeds ts ~m) then begin
+        incr reached;
+        let report = analyze ts ~m in
+        Alcotest.(check (list string)) "nothing skipped" [] report.A.skipped;
+        match report.A.verdict with
+        | A.Infeasible cert ->
+          Alcotest.(check bool) "certificate validates" true (validate ts ~m cert);
+          incr decided
+        | A.Trivially_feasible sched ->
+          Alcotest.(check bool) "witness verified" true (Verify.is_feasible ts sched);
+          incr decided
+        | A.Pruned _ -> ()
+      end)
+    corpus;
+  check Alcotest.int "instances past the utilization test" 32 !reached;
+  check Alcotest.int "decided statically" 5 !decided
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties against the complete CSP2 backend            *)
@@ -323,6 +452,8 @@ let () =
           Alcotest.test_case "budget skip reported" `Quick test_budget_skip_is_reported;
           Alcotest.test_case "wall budget skip reported" `Quick test_wall_budget_skip_is_reported;
           Alcotest.test_case "bad arguments" `Quick test_rejects_bad_arguments;
+          Alcotest.test_case "wrapping supply" `Quick test_wrapping_supply;
+          Alcotest.test_case "fresh corpus complete" `Quick test_fresh_corpus_complete;
         ] );
       ( "certificates",
         [
@@ -330,6 +461,7 @@ let () =
             test_corrupted_certificates_rejected;
           Alcotest.test_case "pretty-printing" `Quick test_certificate_pp;
         ] );
+      ( "reference", [ prop_sweep_matches_reference ] );
       ( "differential",
         [
           prop_analyzer_agrees_with_backend;

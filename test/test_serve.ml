@@ -388,6 +388,32 @@ let test_handle_line_end_to_end () =
     | Error msg -> Alcotest.failf "bad rejection line: %s" msg)
   | None -> Alcotest.fail "post-shutdown request must still be answered (rejected)"
 
+(* T ≈ 1.6·10¹⁸ and U ≈ 0.0055: m·T wraps past max_int at m = 5, and
+   read as the supply, the wrapped product would refute the request (and
+   the cache would keep the verdict).  Whatever the daemon cannot handle
+   here, it must not claim a decisive verdict. *)
+let test_wrapping_supply_not_infeasible () =
+  Resilience.Failpoint.reset ();
+  let emit, dump = emit_collector () in
+  let t = Scheduler.create ~config:(small_config ()) ~emit () in
+  ignore
+    (Scheduler.handle_line t ~fallback_id:"x"
+       "{\"id\":\"wrap\",\"taskset\":[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],\
+        [0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]],\"m\":5}");
+  Scheduler.shutdown t;
+  let code =
+    List.find_map
+      (fun l ->
+        match Json.parse l with
+        | Ok v when Option.bind (Json.member "id" v) Json.to_str = Some "wrap" ->
+          Option.bind (Json.member "code" v) Json.to_int
+        | _ -> None)
+      (dump ())
+  in
+  match code with
+  | None -> Alcotest.fail "request must be answered"
+  | Some code -> Alcotest.(check bool) "no decisive verdict" true (code <> 0)
+
 let test_queue_full_rejection () =
   Resilience.Failpoint.reset ();
   (* Hold the single worker inside the (supervised) request scope for a
@@ -461,6 +487,8 @@ let () =
           Alcotest.test_case "crash containment" `Quick test_crash_containment;
           Alcotest.test_case "handle_line end to end" `Quick test_handle_line_end_to_end;
           Alcotest.test_case "queue-full rejection" `Quick test_queue_full_rejection;
+          Alcotest.test_case "wrapping supply is not infeasible" `Quick
+            test_wrapping_supply_not_infeasible;
           Alcotest.test_case "join property-test workers" `Quick (fun () ->
               if Lazy.is_val props_sched then Scheduler.shutdown (Lazy.force props_sched));
         ] );

@@ -9,7 +9,10 @@
                   [Hashtbl.hash] — anywhere under lib/, applied or
                   passed ([List.sort compare] is the classic).  Files
                   that define their own [compare] are exempt for the
-                  bare name.
+                  bare name.  In the hot-path directories also an infix
+                  [<], [<=], [>], [>=], [=] or [<>] with a tuple literal
+                  operand: a tuple is a block, so the comparison walks it
+                  through the polymorphic compare runtime.
 
    poly-minmax    Bare [min]/[max] (and [Stdlib.min]/[Stdlib.max]) in
                   the hot-path directories: these go through the
@@ -146,6 +149,9 @@ let check_comparators ctx str =
         (Printf.sprintf "Stdlib.%s is polymorphic; use Int.%s / Float.%s" n n n)
     | _ -> ()
   in
+  let is_tuple (_, (arg : Parsetree.expression)) =
+    match arg.pexp_desc with Parsetree.Pexp_tuple _ -> true | _ -> false
+  in
   let it =
     {
       Ast_iterator.default_iterator with
@@ -153,6 +159,17 @@ let check_comparators ctx str =
         (fun self e ->
           (match e.Parsetree.pexp_desc with
           | Parsetree.Pexp_ident { txt; loc } -> check_ident txt loc
+          | Parsetree.Pexp_apply
+              ( { pexp_desc = Parsetree.Pexp_ident { txt = Longident.Lident op; loc }; _ },
+                args )
+            when ctx.hot
+                 && List.mem op [ "<"; "<="; ">"; ">="; "="; "<>" ]
+                 && List.exists is_tuple args ->
+            add ~file:ctx.file ~loc ~rule:"poly-compare"
+              (Printf.sprintf
+                 "`%s` on a tuple is the polymorphic comparator on this hot path; compare \
+                  the components with Int.compare / Int.equal"
+                 op)
           | _ -> ());
           Ast_iterator.default_iterator.expr self e);
     }
