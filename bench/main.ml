@@ -45,16 +45,7 @@ let run_section title body =
     phases := (title, Prelude.Timer.elapsed t0) :: !phases
   end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let write_json path v = Resilience.Artifact.write_atomic path (Prelude.Json.to_string v ^ "\n")
 
 let write_phases () =
   let out =
@@ -62,12 +53,8 @@ let write_phases () =
     | Some p when p <> "" -> p
     | _ -> "BENCH_phases.json"
   in
-  let cells =
-    List.rev_map
-      (fun (title, s) -> Printf.sprintf "  {\"phase\": \"%s\", \"wall_s\": %.6f}" (json_escape title) s)
-      !phases
-  in
-  Resilience.Artifact.write_atomic out ("{\"phases\": [\n" ^ String.concat ",\n" cells ^ "\n]}\n");
+  let phase (title, s) = Prelude.Json.(Obj [ ("phase", Str title); ("wall_s", Num s) ]) in
+  write_json out Prelude.Json.(Obj [ ("phases", Arr (List.rev_map phase !phases)) ]);
   Printf.printf "\nphase timings written to %s\n" out
 
 let progress_every every label i =
@@ -153,7 +140,7 @@ let () =
         | Some p when p <> "" -> p
         | _ -> "BENCH_csp2.json"
       in
-      Resilience.Artifact.write_atomic out (Csp2opt.to_json totals);
+      write_json out (Csp2opt.to_json totals);
       Printf.printf "  json written to %s\n" out);
 
   run_section "RANDOMNESS (Section VII-B)" (fun () -> print_string (Variance.render (Variance.run config)));
@@ -161,18 +148,6 @@ let () =
   run_section "ABLATIONS" (fun () -> print_string (Ablation.render (Ablation.run config)));
 
   run_section "BASELINES" (fun () -> print_string (Baselines.render (Baselines.run config)));
-
-  run_section "SERVE (request scheduler: latency/throughput vs concurrency, cache, failpoint soak)"
-    (fun () ->
-      let totals = Serve_load.run ~progress:(fun msg -> Printf.printf "  .. %s\n%!" msg) () in
-      print_string (Serve_load.render totals);
-      let out =
-        match Sys.getenv_opt "MGRTS_SERVE_OUT" with
-        | Some p when p <> "" -> p
-        | _ -> "BENCH_serve.json"
-      in
-      Resilience.Artifact.write_atomic out (Serve_load.to_json totals);
-      Printf.printf "  json written to %s\n" out);
 
   run_section "MICRO-BENCHMARKS (Bechamel)" (fun () -> Micro.run ());
 

@@ -284,48 +284,44 @@ let render t =
     t.batch_nonogood_wall_s;
   Buffer.contents b
 
-(* Hand-rolled: the repo deliberately has no JSON dependency. *)
 let to_json t =
-  let b = Buffer.create 512 in
-  let field ?(last = false) name value =
-    Buffer.add_string b (Printf.sprintf "  %S: %s%s\n" name value (if last then "" else ","))
-  in
-  Buffer.add_string b "{\n";
-  field "instances" (string_of_int t.instances);
-  field "searched" (string_of_int t.searched);
-  field "classic_decided" (string_of_int t.classic_decided);
-  field "opt_decided" (string_of_int t.opt_decided);
-  field "compared" (string_of_int t.compared);
-  field "verdicts_equal" (string_of_int t.verdicts_equal);
-  field "schedules_valid" (string_of_int t.schedules_valid);
-  field "feasible_checked" (string_of_int t.feasible_checked);
-  field "nodes_classic" (string_of_int t.nodes_classic);
-  field "nodes_opt" (string_of_int t.nodes_opt);
-  field "nodes_opt_searched" (string_of_int t.nodes_opt_searched);
-  field "nodes_opt_nonogood" (string_of_int t.nodes_opt_nonogood);
-  field "node_reduction_pct" (Printf.sprintf "%.2f" (node_reduction_pct t));
-  field "nogood_node_reduction_pct" (Printf.sprintf "%.2f" (nogood_node_reduction_pct t));
-  field "memo_hits" (string_of_int t.memo_hits);
-  field "memo_misses" (string_of_int t.memo_misses);
-  field "memo_stores" (string_of_int t.memo_stores);
-  field "memo_hit_rate_pct" (Printf.sprintf "%.2f" (memo_hit_rate_pct t));
-  field "nogood_hits" (string_of_int t.nogood_hits);
-  field "nogood_misses" (string_of_int t.nogood_misses);
-  field "nogood_stores" (string_of_int t.nogood_stores);
-  field "nogood_evicted" (string_of_int t.nogood_evicted);
-  field "nogood_hit_rate_pct" (Printf.sprintf "%.2f" (nogood_hit_rate_pct t));
-  field "subtrees" (string_of_int t.subtrees);
-  field "pulls" (string_of_int t.pulls);
-  field "steals" (string_of_int t.steals);
-  field "parks" (string_of_int t.parks);
-  field "parallel_jobs" (string_of_int t.parallel_jobs);
-  field "classic_wall_s" (Printf.sprintf "%.6f" t.classic_wall_s);
-  field "opt_wall_s" (Printf.sprintf "%.6f" t.opt_wall_s);
-  field "opt_parallel_wall_s" (Printf.sprintf "%.6f" t.opt_parallel_wall_s);
-  field "batch_solves" (string_of_int t.batch_solves);
-  field "batch_passes" (string_of_int t.batch_passes);
-  field "batch_reuse_wall_s" (Printf.sprintf "%.6f" t.batch_reuse_wall_s);
-  field "batch_nonogood_wall_s" (Printf.sprintf "%.6f" t.batch_nonogood_wall_s);
-  field ~last:true "batch_fresh_wall_s" (Printf.sprintf "%.6f" t.batch_fresh_wall_s);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let int = Prelude.Json.int and num x = Prelude.Json.Num x in
+  Prelude.Json.Obj
+    [
+      ("instances", int t.instances);
+      ("searched", int t.searched);
+      ("classic_decided", int t.classic_decided);
+      ("opt_decided", int t.opt_decided);
+      ("compared", int t.compared);
+      ("verdicts_equal", int t.verdicts_equal);
+      ("schedules_valid", int t.schedules_valid);
+      ("feasible_checked", int t.feasible_checked);
+      ("nodes_classic", int t.nodes_classic);
+      ("nodes_opt", int t.nodes_opt);
+      ("nodes_opt_searched", int t.nodes_opt_searched);
+      ("nodes_opt_nonogood", int t.nodes_opt_nonogood);
+      ("node_reduction_pct", num (node_reduction_pct t));
+      ("nogood_node_reduction_pct", num (nogood_node_reduction_pct t));
+      ("memo_hits", int t.memo_hits);
+      ("memo_misses", int t.memo_misses);
+      ("memo_stores", int t.memo_stores);
+      ("memo_hit_rate_pct", num (memo_hit_rate_pct t));
+      ("nogood_hits", int t.nogood_hits);
+      ("nogood_misses", int t.nogood_misses);
+      ("nogood_stores", int t.nogood_stores);
+      ("nogood_evicted", int t.nogood_evicted);
+      ("nogood_hit_rate_pct", num (nogood_hit_rate_pct t));
+      ("subtrees", int t.subtrees);
+      ("pulls", int t.pulls);
+      ("steals", int t.steals);
+      ("parks", int t.parks);
+      ("parallel_jobs", int t.parallel_jobs);
+      ("classic_wall_s", num t.classic_wall_s);
+      ("opt_wall_s", num t.opt_wall_s);
+      ("opt_parallel_wall_s", num t.opt_parallel_wall_s);
+      ("batch_solves", int t.batch_solves);
+      ("batch_passes", int t.batch_passes);
+      ("batch_reuse_wall_s", num t.batch_reuse_wall_s);
+      ("batch_nonogood_wall_s", num t.batch_nonogood_wall_s);
+      ("batch_fresh_wall_s", num t.batch_fresh_wall_s);
+    ]

@@ -84,5 +84,5 @@ val memo_hit_rate_pct : totals -> float
 val nogood_hit_rate_pct : totals -> float
 
 val render : totals -> string
-val to_json : totals -> string
-(** One flat JSON object (hand-rolled; no JSON dependency). *)
+val to_json : totals -> Prelude.Json.t
+(** One flat JSON object. *)

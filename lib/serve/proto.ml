@@ -1,4 +1,5 @@
 open Rt_model
+module Json = Prelude.Json
 
 type solve_request = {
   id : string;
@@ -163,51 +164,33 @@ let status_string = function
   | Error -> "error"
   | Rejected -> "rejected"
 
-let schedule_rows sched =
-  let m = Schedule.m sched and horizon = Schedule.horizon sched in
-  let rows = Buffer.create (m * (horizon + 2) * 2) in
-  Buffer.add_char rows '[';
-  for proc = 0 to m - 1 do
-    if proc > 0 then Buffer.add_char rows ',';
-    Buffer.add_char rows '[';
-    for time = 0 to horizon - 1 do
-      if time > 0 then Buffer.add_char rows ',';
-      let v = Schedule.get sched ~proc ~time in
-      Buffer.add_string rows (string_of_int (if v = Schedule.idle then 0 else v + 1))
-    done;
-    Buffer.add_char rows ']'
-  done;
-  Buffer.add_char rows ']';
-  Buffer.contents rows
+let schedule_json sched =
+  let cell proc time =
+    let v = Schedule.get sched ~proc ~time in
+    Json.int (if v = Schedule.idle then 0 else v + 1)
+  in
+  Json.Arr
+    (List.init (Schedule.m sched) (fun proc ->
+         Json.Arr (List.init (Schedule.horizon sched) (cell proc))))
 
 let response_json r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"id\": \"%s\", \"status\": \"%s\", \"code\": %d" (Json.escape r.r_id)
-       (status_string r.r_status) r.r_code);
-  (match r.r_verdict with
-  | Some v -> Buffer.add_string buf (Printf.sprintf ", \"verdict\": \"%s\"" (Json.escape v))
-  | None -> ());
-  Buffer.add_string buf (Printf.sprintf ", \"cached\": %b" r.r_cached);
-  (match r.r_solver with
-  | Some s -> Buffer.add_string buf (Printf.sprintf ", \"solver\": \"%s\"" (Json.escape s))
-  | None -> ());
-  (match r.r_winner with
-  | Some w -> Buffer.add_string buf (Printf.sprintf ", \"winner\": \"%s\"" (Json.escape w))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf ", \"time_s\": %.6f, \"queue_s\": %.6f" r.r_time_s r.r_queue_s);
-  (match r.r_stats with
-  | Some st -> Buffer.add_string buf (", \"stats\": " ^ Telemetry.Stats.to_json st)
-  | None -> ());
-  (match r.r_error with
-  | Some e -> Buffer.add_string buf (Printf.sprintf ", \"error\": \"%s\"" (Json.escape e))
-  | None -> ());
-  (match r.r_schedule with
-  | Some sched -> Buffer.add_string buf (", \"schedule\": " ^ schedule_rows sched)
-  | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  let str v = Json.Str v in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("id", Json.Str r.r_id);
+          ("status", Json.Str (status_string r.r_status));
+          ("code", Json.int r.r_code);
+        ]
+       @ opt "verdict" str r.r_verdict
+       @ [ ("cached", Json.Bool r.r_cached) ]
+       @ opt "solver" str r.r_solver
+       @ opt "winner" str r.r_winner
+       @ [ ("time_s", Json.Num r.r_time_s); ("queue_s", Json.Num r.r_queue_s) ]
+       @ opt "stats" Telemetry.Stats.to_json r.r_stats
+       @ opt "error" str r.r_error
+       @ opt "schedule" schedule_json r.r_schedule))
 
 let error_response ~id ~queue_s err =
   {
@@ -264,13 +247,27 @@ type counters = {
 }
 
 let counters_json c =
-  Printf.sprintf
-    "{\"event\": \"stats\", \"uptime_s\": %.3f, \"received\": %d, \"served\": %d, \
-     \"decided\": %d, \"undecided\": %d, \"errors\": %d, \"rejected\": %d, \"crashed\": %d, \
-     \"front_door_infeasible\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-     \"cache_stores\": %d, \"cache_evictions\": %d, \"cache_entries\": %d, \"in_flight\": \
-     %d, \"queue_depth\": %d, \"workers\": %d, \"jobs_per_request\": %d}"
-    c.uptime_s c.received c.served c.decided c.undecided c.errors c.rejected c.crashed
-    c.front_door_infeasible c.cache.Cache.hits c.cache.Cache.misses c.cache.Cache.stores
-    c.cache.Cache.evictions c.cache.Cache.entries c.in_flight c.queue_depth c.workers
-    c.jobs_per_request
+  let int = Json.int in
+  Json.to_string
+    (Json.Obj
+       [
+         ("event", Json.Str "stats");
+         ("uptime_s", Json.Num c.uptime_s);
+         ("received", int c.received);
+         ("served", int c.served);
+         ("decided", int c.decided);
+         ("undecided", int c.undecided);
+         ("errors", int c.errors);
+         ("rejected", int c.rejected);
+         ("crashed", int c.crashed);
+         ("front_door_infeasible", int c.front_door_infeasible);
+         ("cache_hits", int c.cache.Cache.hits);
+         ("cache_misses", int c.cache.Cache.misses);
+         ("cache_stores", int c.cache.Cache.stores);
+         ("cache_evictions", int c.cache.Cache.evictions);
+         ("cache_entries", int c.cache.Cache.entries);
+         ("in_flight", int c.in_flight);
+         ("queue_depth", int c.queue_depth);
+         ("workers", int c.workers);
+         ("jobs_per_request", int c.jobs_per_request);
+       ])

@@ -67,29 +67,28 @@ module Stats = struct
     if s.parks > 0 then Buffer.add_string b (Printf.sprintf " park=%d" s.parks);
     Buffer.contents b
 
-  (* Hand-rolled: the repo deliberately has no JSON dependency. *)
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let to_json s =
-    Printf.sprintf
-      "{\"backend\": \"%s\", \"nodes\": %d, \"fails\": %d, \"depth\": %d, \"propagations\": \
-       %d, \"restarts\": %d, \"memo_hits\": %d, \"memo_misses\": %d, \"memo_stores\": %d, \
-       \"nogood_hits\": %d, \"nogood_misses\": %d, \"nogood_stores\": %d, \"subtrees\": %d, \
-       \"pulls\": %d, \"steals\": %d, \"parks\": %d, \"time_s\": %.6f}"
-      (json_escape s.backend) s.nodes s.fails s.depth s.propagations s.restarts s.memo_hits
-      s.memo_misses s.memo_stores s.nogood_hits s.nogood_misses s.nogood_stores s.subtrees
-      s.pulls s.steals s.parks s.time_s
+    let int = Json.int in
+    Json.Obj
+      [
+        ("backend", Json.Str s.backend);
+        ("nodes", int s.nodes);
+        ("fails", int s.fails);
+        ("depth", int s.depth);
+        ("propagations", int s.propagations);
+        ("restarts", int s.restarts);
+        ("memo_hits", int s.memo_hits);
+        ("memo_misses", int s.memo_misses);
+        ("memo_stores", int s.memo_stores);
+        ("nogood_hits", int s.nogood_hits);
+        ("nogood_misses", int s.nogood_misses);
+        ("nogood_stores", int s.nogood_stores);
+        ("subtrees", int s.subtrees);
+        ("pulls", int s.pulls);
+        ("steals", int s.steals);
+        ("parks", int s.parks);
+        ("time_s", Json.Num s.time_s);
+      ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -308,56 +307,35 @@ let heartbeat ~name ~nodes ~fails ~depth =
 (* Chrome trace-event export. *)
 
 let to_chrome_json ?(stats = []) events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b "  "
-  in
-  let args_json args =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\": \"%s\"" (Stats.json_escape k) (Stats.json_escape v))
-           args)
-    ^ "}"
-  in
-  List.iter
-    (fun e ->
-      sep ();
-      let us t = t *. 1e6 in
-      match e.e_ph with
+  let str_args args = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args) in
+  let event e =
+    let name = ("name", Json.Str e.e_name) and cat = ("cat", Json.Str e.e_cat) in
+    let ts = ("ts", Json.Num (e.e_ts *. 1e6)) and pid = ("pid", Json.int 1) in
+    let tid = ("tid", Json.int e.e_tid) and args = ("args", str_args e.e_args) in
+    Json.Obj
+      (match e.e_ph with
       | `Span ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.1f, \"dur\": %.1f, \
-              \"pid\": 1, \"tid\": %d, \"args\": %s}"
-             (Stats.json_escape e.e_name) (Stats.json_escape e.e_cat) (us e.e_ts) (us e.e_dur)
-             e.e_tid (args_json e.e_args))
-      | `Instant ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \"ts\": %.1f, \
-              \"pid\": 1, \"tid\": %d, \"args\": %s}"
-             (Stats.json_escape e.e_name) (Stats.json_escape e.e_cat) (us e.e_ts) e.e_tid
-             (args_json e.e_args))
+        let dur = ("dur", Json.Num (e.e_dur *. 1e6)) in
+        [ name; cat; ("ph", Json.Str "X"); ts; dur; pid; tid; args ]
+      | `Instant -> [ name; cat; ("ph", Json.Str "i"); ("s", Json.Str "t"); ts; pid; tid; args ]
       | `Counter ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"C\", \"ts\": %.1f, \"pid\": 1, \
-              \"tid\": %d, \"args\": {\"value\": %d}}"
-             (Stats.json_escape e.e_name) (Stats.json_escape e.e_cat) (us e.e_ts) e.e_tid
-             e.e_value))
-    events;
-  List.iter
-    (fun (s : Stats.t) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\": \"backend_stats\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": %s}"
-           (Stats.to_json s)))
-    stats;
-  Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents b
+        let value = ("args", Json.Obj [ ("value", Json.int e.e_value) ]) in
+        [ name; cat; ("ph", Json.Str "C"); ts; pid; tid; value ])
+  in
+  let backend_stats s =
+    Json.Obj
+      [
+        ("name", Json.Str "backend_stats");
+        ("ph", Json.Str "M");
+        ("pid", Json.int 1);
+        ("tid", Json.int 0);
+        ("args", Stats.to_json s);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.map event events @ List.map backend_stats stats));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"

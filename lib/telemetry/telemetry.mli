@@ -88,8 +88,8 @@ module Stats : sig
       non-zero extras ([memo=h/m/s], [ng=h/m/s], [sub=], [pull=],
       [steal=], [park=]). *)
 
-  val to_json : t -> string
-  (** One flat JSON object (hand-rolled; the repo has no JSON dep). *)
+  val to_json : t -> Prelude.Json.t
+  (** One flat JSON object. *)
 end
 
 (** {1 Global switch} *)

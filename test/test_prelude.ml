@@ -1,5 +1,5 @@
 (* Unit and property tests for the prelude: exact integer math, PRNG,
-   bitsets, combinations, tables, accumulators. *)
+   bitsets, combinations, tables, accumulators, the JSON codec. *)
 
 open Prelude
 
@@ -695,6 +695,71 @@ let test_epoch_dict_clear_is_epoch_bump () =
   check Alcotest.(option int) "rebind visible" (Some 1) (Epoch_dict.find d 7);
   check Alcotest.int "one live binding" 1 (Epoch_dict.length d)
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+let test_json_roundtrip () =
+  let line = {|{"id":"r1","n":-2.5,"ok":true,"xs":[1,2,3],"nested":{"s":"a\"b\n"}}|} in
+  match Json.parse line with
+  | Error msg -> Alcotest.failf "parse failed: %s" msg
+  | Ok v ->
+    Alcotest.(check (option string)) "id" (Some "r1") (Option.bind (Json.member "id" v) Json.to_str);
+    Alcotest.(check (option (float 1e-9))) "n" (Some (-2.5))
+      (Option.bind (Json.member "n" v) Json.to_float);
+    Alcotest.(check (option bool)) "ok" (Some true) (Option.bind (Json.member "ok" v) Json.to_bool);
+    (match Option.bind (Json.member "xs" v) Json.to_list with
+    | Some xs -> Alcotest.(check (list (option int))) "xs" [ Some 1; Some 2; Some 3 ] (List.map Json.to_int xs)
+    | None -> Alcotest.fail "xs missing");
+    let nested = Option.get (Json.member "nested" v) in
+    Alcotest.(check (option string)) "escapes" (Some "a\"b\n")
+      (Option.bind (Json.member "s" nested) Json.to_str);
+    (* Printing re-parses to the same structure. *)
+    (match Json.parse (Json.to_string v) with
+    | Ok v' -> Alcotest.(check bool) "reparse" true (v = v')
+    | Error msg -> Alcotest.failf "reprint failed: %s" msg);
+    (* 1e400 parses to infinity, which JSON cannot spell: the printer
+       writes null, so the reprint still parses. *)
+    (match Json.parse "[1e400]" with
+    | Ok big ->
+      Alcotest.(check string) "non-finite prints as null" "[null]" (Json.to_string big);
+      Alcotest.(check bool) "reprint parses" true (Result.is_ok (Json.parse (Json.to_string big)))
+    | Error msg -> Alcotest.failf "1e400 rejected: %s" msg)
+
+let test_json_errors () =
+  let bad s =
+    match Json.parse s with
+    | Ok _ -> Alcotest.failf "accepted malformed %S" s
+    | Error msg -> Alcotest.(check bool) ("offset in " ^ s) true (String.length msg > 0)
+  in
+  bad "not json";
+  bad "{\"a\":1";
+  bad "{\"a\":1} trailing";
+  bad "[1,]";
+  bad "\"unterminated";
+  Alcotest.(check (option int)) "non-integral to_int" None (Json.to_int (Json.Num 1.5));
+  Alcotest.(check (option int)) "huge to_int" None (Json.to_int (Json.Num 1e18))
+
+(* Any byte string survives the escaper, as a key and as a value, and
+   the printed line carries no raw control byte (the parser would take
+   one, but JSON and NDJSON do not). *)
+let prop_json_escape_roundtrip =
+  let byte =
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ '"'; '\\' ];
+          map Char.chr (int_range 0x00 0x1f);
+          map Char.chr (int_range 0x80 0xff);
+          char;
+        ])
+  in
+  qtest ~count:500 ~print:(Printf.sprintf "%S") "escaper round-trips any byte string"
+    QCheck2.Gen.(string_size ~gen:byte (int_bound 40))
+    (fun s ->
+      let v = Json.Obj [ (s, Json.Str s) ] in
+      let line = Json.to_string v in
+      Json.parse line = Ok v && String.for_all (fun c -> Char.code c >= 0x20) line)
+
 let () =
   Alcotest.run "prelude"
     [
@@ -772,5 +837,11 @@ let () =
           Alcotest.test_case "prng copy" `Quick test_prng_copy;
           Alcotest.test_case "welford degenerate" `Quick test_welford_degenerate;
           Alcotest.test_case "pow overflow" `Quick test_pow_overflow;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "errors" `Quick test_json_errors;
+          prop_json_escape_roundtrip;
         ] );
     ]

@@ -8,7 +8,7 @@
    needs. *)
 
 open Rt_model
-module Json = Serve.Json
+module Json = Prelude.Json
 module Proto = Serve.Proto
 module Fingerprint = Serve.Fingerprint
 module Cache = Serve.Cache
@@ -47,43 +47,6 @@ let contains s sub =
 let with_scheduler ?(config = small_config ()) ?(emit = fun _ -> ()) f =
   let t = Scheduler.create ~config ~emit () in
   Fun.protect ~finally:(fun () -> Scheduler.shutdown t) (fun () -> f t)
-
-(* ------------------------------------------------------------------ *)
-(* Json *)
-
-let test_json_roundtrip () =
-  let line = {|{"id":"r1","n":-2.5,"ok":true,"xs":[1,2,3],"nested":{"s":"a\"b\n"}}|} in
-  match Json.parse line with
-  | Error msg -> Alcotest.failf "parse failed: %s" msg
-  | Ok v ->
-    Alcotest.(check (option string)) "id" (Some "r1") (Option.bind (Json.member "id" v) Json.to_str);
-    Alcotest.(check (option (float 1e-9))) "n" (Some (-2.5))
-      (Option.bind (Json.member "n" v) Json.to_float);
-    Alcotest.(check (option bool)) "ok" (Some true) (Option.bind (Json.member "ok" v) Json.to_bool);
-    (match Option.bind (Json.member "xs" v) Json.to_list with
-    | Some xs -> Alcotest.(check (list (option int))) "xs" [ Some 1; Some 2; Some 3 ] (List.map Json.to_int xs)
-    | None -> Alcotest.fail "xs missing");
-    let nested = Option.get (Json.member "nested" v) in
-    Alcotest.(check (option string)) "escapes" (Some "a\"b\n")
-      (Option.bind (Json.member "s" nested) Json.to_str);
-    (* Printing re-parses to the same structure. *)
-    (match Json.parse (Json.to_string v) with
-    | Ok v' -> Alcotest.(check bool) "reparse" true (v = v')
-    | Error msg -> Alcotest.failf "reprint failed: %s" msg)
-
-let test_json_errors () =
-  let bad s =
-    match Json.parse s with
-    | Ok _ -> Alcotest.failf "accepted malformed %S" s
-    | Error msg -> Alcotest.(check bool) ("offset in " ^ s) true (String.length msg > 0)
-  in
-  bad "not json";
-  bad "{\"a\":1";
-  bad "{\"a\":1} trailing";
-  bad "[1,]";
-  bad "\"unterminated";
-  Alcotest.(check (option int)) "non-integral to_int" None (Json.to_int (Json.Num 1.5));
-  Alcotest.(check (option int)) "huge to_int" None (Json.to_int (Json.Num 1e18))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint *)
@@ -454,14 +417,86 @@ let test_queue_full_rejection () =
       Alcotest.(check (option int)) "queued solved after drain" (Some 0) (code_of "queued");
       Alcotest.(check (option int)) "overflow rejected" (Some 6) (code_of "overflow"))
 
+let solve_line ~id (ts, m) =
+  let row (o, c, d, t) = Json.Arr (List.map Json.int [ o; c; d; t ]) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Str id);
+         ("taskset", Json.Arr (List.map row (tuples_of_ts ts)));
+         ("m", Json.int m);
+       ])
+
+(* A sustained stream through a small admission queue on two workers,
+   while [serve.request] is re-armed to raise (every 50th request) and to
+   stall 5 ms (every 83rd), punctuated by unpaced bursts that overflow
+   the queue.  The daemon must contain every crash, answer every request
+   exactly once, and still shut down. *)
+let test_failpoint_soak () =
+  Resilience.Failpoint.reset ();
+  let emit, dump = emit_collector () in
+  let config =
+    {
+      (Scheduler.default_config ()) with
+      Scheduler.workers = 2;
+      jobs_per_request = 1;
+      queue_capacity = 16;
+      default_wall_s = 0.25;
+    }
+  in
+  let t = Scheduler.create ~config ~emit () in
+  let requests = 200 in
+  let instances =
+    Gen.Generator.batch ~seed:44 ~count:(requests / 4)
+      (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)
+  in
+  let burst_until = ref (-1) in
+  Fun.protect ~finally:Resilience.Failpoint.reset (fun () ->
+      for i = 0 to requests - 1 do
+        (let open Resilience.Failpoint in
+         if i mod 50 = 25 then arm ~trigger:(Nth 1) "serve.request" (Raise Out_of_memory)
+         else if i mod 83 = 40 then arm ~trigger:(Nth 1) "serve.request" (Delay 0.005));
+        (* A closed loop with 8 requests in flight (half the queue),
+           except during the 24-request bursts.  A lost response would
+           stall the loop, so the wait is bounded. *)
+        if i mod 97 = 0 then burst_until := i + 24;
+        let deadline = Unix.gettimeofday () +. 30. in
+        if i > !burst_until then
+          while i - List.length (dump ()) >= 8 do
+            if Unix.gettimeofday () > deadline then Alcotest.failf "s%d: responses stopped" i;
+            Unix.sleepf 0.0005
+          done;
+        let id = Printf.sprintf "s%d" i in
+        ignore
+          (Scheduler.handle_line t ~fallback_id:id
+             (solve_line ~id instances.(i mod Array.length instances)))
+      done;
+      (* The checks below run only if shutdown drains and joins. *)
+      Scheduler.shutdown t);
+  let lines =
+    List.map
+      (fun l ->
+        match Json.parse l with Ok v -> v | Error msg -> Alcotest.failf "bad line %S: %s" l msg)
+      (dump ())
+  in
+  let ids = List.filter_map (fun v -> Option.bind (Json.member "id" v) Json.to_str) lines in
+  Alcotest.(check (list string)) "one line per submitted id"
+    (List.sort String.compare (List.init requests (Printf.sprintf "s%d")))
+    (List.sort String.compare ids);
+  let c = Scheduler.counters t in
+  Alcotest.(check int) "received" requests c.Proto.received;
+  Alcotest.(check int) "served + rejected = received" c.Proto.received
+    (c.Proto.served + c.Proto.rejected);
+  let code5 =
+    List.length
+      (List.filter (fun v -> Option.bind (Json.member "code" v) Json.to_int = Some 5) lines)
+  in
+  Alcotest.(check int) "crashed = code-5 lines" code5 c.Proto.crashed;
+  Alcotest.(check bool) "a crash was contained" true (c.Proto.crashed >= 1)
+
 let () =
   Alcotest.run "serve"
     [
-      ( "json",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "errors" `Quick test_json_errors;
-        ] );
       ( "fingerprint",
         [
           prop_fingerprint_reorder_invariant;
@@ -489,6 +524,7 @@ let () =
           Alcotest.test_case "queue-full rejection" `Quick test_queue_full_rejection;
           Alcotest.test_case "wrapping supply is not infeasible" `Quick
             test_wrapping_supply_not_infeasible;
+          Alcotest.test_case "failpoint soak" `Quick test_failpoint_soak;
           Alcotest.test_case "join property-test workers" `Quick (fun () ->
               if Lazy.is_val props_sched then Scheduler.shutdown (Lazy.force props_sched));
         ] );

@@ -137,7 +137,7 @@ let test_stats_record () =
   in
   check Alcotest.bool "summary nodes" true (contains "n=100" line);
   check Alcotest.bool "summary memo" true (contains "memo=" line);
-  let json = T.Stats.to_json s in
+  let json = Prelude.Json.to_string (T.Stats.to_json s) in
   check Alcotest.bool "json backend" true (contains "\"backend\": \"csp2-opt\"" json);
   check Alcotest.bool "json nodes" true (contains "\"nodes\": 100" json)
 
@@ -161,18 +161,16 @@ let test_chrome_json_shape () =
   check Alcotest.bool "counter" true (contains "\"ph\": \"C\"");
   check Alcotest.bool "metadata stats" true (contains "\"ph\": \"M\"");
   check Alcotest.bool "span name" true (contains "\"name\": \"phase\"");
-  (* Microsecond timestamps are integers-or-floats >= 0; cheap sanity:
-     the JSON parses as a single object by bracket balance. *)
-  let depth = ref 0 and ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '{' || c = '[' then incr depth
-      else if c = '}' || c = ']' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    json;
-  check Alcotest.bool "brackets balance" true (!ok && !depth = 0)
+  (* The export parses: one span, one counter, one instant, and the
+     stats record as a metadata event. *)
+  let module J = Prelude.Json in
+  match Option.bind (Result.to_option (J.parse json)) (J.member "traceEvents") with
+  | Some (J.Arr events) ->
+    let phs = List.filter_map (fun e -> Option.bind (J.member "ph" e) J.to_str) events in
+    check Alcotest.int "event count" 4 (List.length events);
+    check Alcotest.(list string) "each event's ph" [ "C"; "M"; "X"; "i" ]
+      (List.sort String.compare phs)
+  | _ -> Alcotest.fail "export does not parse as an object with a traceEvents array"
 
 let test_restart_discards_stale () =
   fresh ();
