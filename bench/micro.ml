@@ -118,6 +118,35 @@ let generator_test =
         let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
         fun () -> ignore (Gen.Generator.generate rng params)))
 
+(* One pinned n = 10, m = 5, H = 420 instance of the paper's regime and
+   its witness from the deterministic classic search.  [check_cyclic] is
+   what a serve cache hit runs; [check] on the same schedule is its plain
+   sibling, so the pair shows what the cyclic form costs on top. *)
+let pinned_5x420 =
+  lazy
+    (let ts =
+       Rt_model.Taskset.of_tuples
+         [
+           (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
+           (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
+         ]
+     in
+     match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m:5 with
+     | Encodings.Outcome.Feasible sched, _ -> (ts, sched)
+     | _ -> failwith "micro: the pinned 5x420 instance has no witness")
+
+let verify_check_test =
+  Test.make ~name:"verify.check(5x420)"
+    (Staged.stage (fun () ->
+         let ts, sched = Lazy.force pinned_5x420 in
+         ignore (Rt_model.Verify.check ts sched)))
+
+let verify_check_cyclic_test =
+  Test.make ~name:"verify.check_cyclic(5x420)"
+    (Staged.stage (fun () ->
+         let ts, sched = Lazy.force pinned_5x420 in
+         ignore (Rt_model.Verify.check_cyclic ts sched)))
+
 let tests =
   Test.make_grouped ~name:"mgrts" ~fmt:"%s/%s"
     [
@@ -133,6 +162,8 @@ let tests =
       deque_test;
       sim_test;
       generator_test;
+      verify_check_test;
+      verify_check_cyclic_test;
       telemetry_disabled_heartbeat_test;
       telemetry_disabled_span_test;
       failpoint_disarmed_test;

@@ -124,13 +124,23 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
   done;
   for task = 0 to n - 1 do
     let tk = Taskset.task ts task in
-    let jobs = horizon / tk.Task.period in
-    let offset = tk.Task.offset mod tk.Task.period in
-    let in_window ~slot k =
-      let d = (slot - (offset + (k * tk.Task.period))) mod horizon in
-      let d = if d < 0 then d + horizon else d in
-      d < tk.Task.deadline
+    let period = tk.Task.period and deadline = tk.Task.deadline in
+    let jobs = horizon / period in
+    let offset = tk.Task.offset mod period in
+    (* Job [k] is released at [offset + k·period]; [slot] lies [dist slot k]
+       slots into its cyclic window, and inside it iff that is below
+       [deadline]. *)
+    let dist slot k = Prelude.Intmath.imod (slot - offset - (k * period)) horizon in
+    (* With [r = dist slot 0], job [r / period] is the last one released
+       at or before [slot], [r mod period] slots before it, and each job
+       before it (wrapping modulo [jobs]) one period further back.  The
+       windows holding [slot] are those of the first [span r] of these:
+       one when [deadline <= period], at most ⌈deadline/period⌉. *)
+    let span r =
+      let into = r mod period in
+      if into < deadline then (deadline - into + period - 1) / period else 0
     in
+    let covered slot = span (dist slot 0) > 0 in
     let cells = Array.of_list (List.rev exec.(task)) in
     let nc = Array.length cells in
     let total = Array.fold_left (fun acc (_, w, _) -> acc + w) 0 cells in
@@ -141,8 +151,7 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
       (* Aggregate fallback (see above): window membership only. *)
       Array.iter
         (fun (slot, _, proc) ->
-          if not (Array.exists (fun k -> in_window ~slot k) (Array.init jobs Fun.id)) then
-            report (Out_of_window { proc; time = slot; task }))
+          if not (covered slot) then report (Out_of_window { proc; time = slot; task }))
         cells
     else begin
       (* The assignment is a max-flow instance: cell → (job, slot) → job,
@@ -150,40 +159,54 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
          most one unit per instant, which is C3 at job granularity — and
          capacity [C_i] on each job.  DFS on the residual graph; a simple
          augmenting path exists whenever any augmenting path does, so
-         per-node visited stamps are sound. *)
+         per-node visited stamps are sound.  A (job, slot) node is indexed
+         by how far into the job's window the slot lies, so each per-node
+         table holds [jobs · deadline] entries. *)
       let owner = Array.make nc (-1) in
       let fill = Array.make jobs 0 in
       let owned = Array.make jobs [] in
-      let slot_user = Array.make (jobs * horizon) (-1) in
+      let slot_user = Array.make (jobs * deadline) (-1) in
       let vc = Array.make nc 0 in
-      let vjs = Array.make (jobs * horizon) 0 in
+      let vjs = Array.make (jobs * deadline) 0 in
       let vj = Array.make jobs 0 in
       let stamp = ref 0 in
       let slot_of c =
         let s, _, _ = cells.(c) in
         s
       in
+      let node_of c k = (k * deadline) + dist (slot_of c) k in
       let assign c k =
         (if owner.(c) >= 0 then begin
            let old = owner.(c) in
            fill.(old) <- fill.(old) - 1;
            owned.(old) <- List.filter (fun c' -> c' <> c) owned.(old);
-           slot_user.((old * horizon) + slot_of c) <- -1
+           slot_user.(node_of c old) <- -1
          end);
         owner.(c) <- k;
         fill.(k) <- fill.(k) + 1;
         owned.(k) <- c :: owned.(k);
-        slot_user.((k * horizon) + slot_of c) <- c
+        slot_user.(node_of c k) <- c
       in
       let rec augment c =
         vc.(c) <- !stamp;
         let slot = slot_of c in
+        let r = dist slot 0 in
+        let latest = r / period in
+        let candidates = span r in
+        (* The candidates are jobs [latest − candidates + 1 .. latest]
+           modulo [jobs]; [i] walks them in ascending job order, so when
+           they wrap, jobs [0 .. latest] come before the wrapped tail. *)
+        let first = latest - candidates + 1 in
         let placed = ref false in
-        let k = ref 0 in
-        while (not !placed) && !k < jobs do
-          let j = !k in
-          let node = (j * horizon) + slot in
-          if vjs.(node) < !stamp && in_window ~slot j then begin
+        let i = ref 0 in
+        while (not !placed) && !i < candidates do
+          let j =
+            if first >= 0 then first + !i
+            else if !i <= latest then !i
+            else !i + first + jobs - latest - 1
+          in
+          let node = node_of c j in
+          if vjs.(node) < !stamp then begin
             vjs.(node) <- !stamp;
             let occupant = slot_user.(node) in
             if occupant >= 0 then begin
@@ -202,7 +225,7 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
               vj.(j) <- !stamp;
               (* Job full: evict any owned cell through its own slot node. *)
               let evict c' =
-                let node' = (j * horizon) + slot_of c' in
+                let node' = node_of c' j in
                 if vjs.(node') < !stamp && vc.(c') < !stamp then begin
                   vjs.(node') <- !stamp;
                   augment c'
@@ -215,7 +238,7 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
               end
             end
           end;
-          incr k
+          incr i
         done;
         !placed
       in
@@ -225,8 +248,7 @@ let check_cyclic ?platform ?(max_violations = 32) ts sched =
         if not (augment c) then begin
           all_placed := false;
           let slot, _, proc = cells.(c) in
-          if not (Array.exists (fun k -> in_window ~slot k) (Array.init jobs Fun.id)) then
-            report (Out_of_window { proc; time = slot; task })
+          if not (covered slot) then report (Out_of_window { proc; time = slot; task })
         end
       done;
       if !all_placed then

@@ -65,6 +65,20 @@ val check_cyclic :
     rate differs from 1 the exact partition degrades to aggregate checks
     (window membership and the per-cycle total, reported as
     {!Wrong_total}).
+
+    Cost, for a schedule of [m] processors over horizon [H], with [c_i]
+    executed cells of task [i] and [J_i = H/T_i] jobs: each cell tries
+    only the jobs whose window holds it, at most [⌈D_i/T_i⌉] of them (one
+    when [D_i <= T_i]), and the task's (job, instant) tables hold one
+    entry per instant of each job's window, [J_i·D_i].  Time is
+    O(m·H + Σ_i J_i·D_i) for the scan and the tables, plus
+    O(Σ_i c_i·⌈D_i/T_i⌉) when every cell is placed on its first try.
+    That is always the case on a feasible schedule with constrained
+    deadlines, where the whole check is O((m + n)·H).  Otherwise a cell
+    may run one depth-first search over its task's (cell, job, instant)
+    graph, which visits each cell and each table entry at most once.
+    Space is O(m·H + Σ_i J_i·D_i) words: O((m + n)·H) for constrained
+    deadlines.
     @raise Invalid_argument if the horizon is not a multiple of the
     hyperperiod, a deadline exceeds the horizon, or the platform's
     processor count differs from the schedule's. *)

@@ -164,12 +164,16 @@ let run t (req : Proto.solve_request) =
     | Some (Cache.Feasible_canonical canon) ->
       let sched = Fingerprint.from_canonical fp canon in
       (* Verify-on-hit: the cache is sound by construction (DESIGN.md
-         §11), but a verified schedule costs O(m·H) against a search that
-         cost orders more — cheap insurance.  A violation here is a bug,
-         surfaced as a contained crash, never as a wrong verdict. *)
-      (match Verify.check_cyclic ts sched with
-      | Ok () -> ()
-      | Error _ -> failwith ("serve cache returned an infeasible schedule for " ^ req.Proto.id));
+         §11), but verifying the witness costs O((m + n)·H) time and
+         words for constrained deadlines, against a search that cost
+         orders more — cheap insurance.  A violation here is a bug,
+         surfaced as a contained crash, never as a wrong verdict.  The
+         hit's [time_s] stays 0, as it reports solve time and a hit
+         solves nothing; the span shows the check in traces. *)
+      Telemetry.with_span "verify-hit" ~cat:"serve" (fun () ->
+          match Verify.check_cyclic ts sched with
+          | Ok () -> ()
+          | Error _ -> failwith ("serve cache returned an infeasible schedule for " ^ req.Proto.id));
       decided_response req ~verdict:"feasible" ~cached:true ~solver:None ~winner:None
         ~time_s:0. ~stats:None ~schedule:(Some sched)
     | Some Cache.Infeasible_entry ->

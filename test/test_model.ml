@@ -325,6 +325,176 @@ let test_check_cyclic_rejects_wrong_total () =
     Alcotest.(check bool) "mentions the total" true
       (List.exists (function Verify.Wrong_total _ -> true | _ -> false) vs)
 
+(* [check_cyclic] against [Verify_ref.check_cyclic], its direct form.
+   Deadlines run from C to 2T + 2, so the windows of one task overlap
+   and wrap around the horizon, and offsets reach T + 1. *)
+let cyclic_task_gen =
+  let open QCheck2.Gen in
+  int_range 1 6 >>= fun period ->
+  int_range 1 period >>= fun wcet ->
+  int_range wcet ((2 * period) + 2) >>= fun deadline ->
+  int_range 0 (period + 1) >>= fun offset ->
+  return (Task.make ~offset ~wcet ~deadline ~period ())
+
+(* [sched] repeated [times] times: still cyclic, over a longer horizon. *)
+let tile sched times =
+  let m = Schedule.m sched and horizon = Schedule.horizon sched in
+  let out = Schedule.create ~m ~horizon:(horizon * times) in
+  for proc = 0 to m - 1 do
+    for time = 0 to (horizon * times) - 1 do
+      Schedule.set out ~proc ~time (Schedule.get sched ~proc ~time:(time mod horizon))
+    done
+  done;
+  out
+
+(* A feasible schedule of [ts] from the clone reduction, when the clone
+   system is small enough to solve quickly. *)
+let clone_witness ts ~m =
+  let r = Clone.transform ts in
+  let cloned = Clone.cloned r in
+  if Taskset.hyperperiod cloned > 240 then None
+  else
+    match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~nodes:2000 ()) cloned ~m with
+    | Encodings.Outcome.Feasible s, _ -> Some (Clone.map_schedule r s)
+    | _ -> None
+
+(* Every job gets C units, each at a random slot of its window, or
+   anywhere with probability 1/4; later writes may land on earlier ones. *)
+let scatter_jobs rng ts ~m ~horizon =
+  let s = Schedule.create ~m ~horizon in
+  for task = 0 to Taskset.size ts - 1 do
+    let tk = Taskset.task ts task in
+    for k = 0 to (horizon / tk.Task.period) - 1 do
+      for _ = 1 to tk.Task.wcet do
+        let time =
+          if Random.State.int rng 4 = 0 then Random.State.int rng horizon
+          else (tk.Task.offset + (k * tk.Task.period) + Random.State.int rng tk.Task.deadline) mod horizon
+        in
+        Schedule.set s ~proc:(Random.State.int rng m) ~time task
+      done
+    done
+  done;
+  s
+
+(* A random write: a cell set to a random id, idle or one past the last
+   task, or a busy cell moved to another cell. *)
+let random_write rng s ~n =
+  let m = Schedule.m s and horizon = Schedule.horizon s in
+  let proc = Random.State.int rng m and time = Random.State.int rng horizon in
+  if Random.State.bool rng then
+    Schedule.set s ~proc ~time (Random.State.int rng (n + 2) - 1)
+  else
+    let v = Schedule.get s ~proc ~time in
+    if v <> Schedule.idle then begin
+      Schedule.set s ~proc ~time Schedule.idle;
+      Schedule.set s ~proc:(Random.State.int rng m) ~time:(Random.State.int rng horizon) v
+    end
+
+type cyclic_case = {
+  c_ts : Taskset.t;
+  c_platform : Platform.t;
+  c_sched : Schedule.t;
+  c_max_violations : int;
+}
+
+let cyclic_case_gen =
+  let open QCheck2.Gen in
+  int_range 1 4 >>= fun n ->
+  list_size (return n) cyclic_task_gen >>= fun tasks ->
+  int_range 1 (Int.min 4 (n + 1)) >>= fun m ->
+  int_range 1 2 >>= fun times ->
+  oneofl [ 1; 3; 32 ] >>= fun c_max_violations ->
+  int >>= fun seed ->
+  let ts = Taskset.of_tasks tasks in
+  let rng = Random.State.make [| seed |] in
+  let c_platform =
+    if Random.State.int rng 3 = 0 then
+      Platform.uniform ~speeds:(Array.init m (fun _ -> 1 + Random.State.int rng 2))
+    else Platform.identical ~m
+  in
+  let horizon = times * Taskset.hyperperiod ts in
+  let c_sched =
+    match Random.State.int rng 8 with
+    | 0 | 1 | 2 | 3 -> (
+      match clone_witness ts ~m with
+      | Some w ->
+        let s = tile w times in
+        for _ = 1 to Random.State.int rng 4 do
+          random_write rng s ~n
+        done;
+        s
+      | None -> scatter_jobs rng ts ~m ~horizon)
+    | 4 | 5 | 6 -> scatter_jobs rng ts ~m ~horizon
+    | _ ->
+      (* Mostly noise; now and then a horizon that is no multiple of the
+         hyperperiod. *)
+      let horizon = if Random.State.int rng 8 = 0 then horizon + 1 else horizon in
+      Schedule.of_cells
+        (Array.init m (fun _ ->
+             Array.init horizon (fun _ ->
+                 if Random.State.bool rng then Schedule.idle else Random.State.int rng n)))
+  in
+  return { c_ts = ts; c_platform; c_sched; c_max_violations }
+
+let print_cyclic_case c =
+  Format.asprintf "%s@.%a@.max_violations=%d@.%a" (Taskset.to_string c.c_ts) Platform.pp
+    c.c_platform c.c_max_violations Schedule.pp c.c_sched
+
+let prop_check_cyclic_matches_reference =
+  qtest ~count:3000 ~print:print_cyclic_case
+    "cyclic: check_cyclic matches its reference" cyclic_case_gen (fun c ->
+      let run check =
+        match
+          check ?platform:(Some c.c_platform) ?max_violations:(Some c.c_max_violations) c.c_ts
+            c.c_sched
+        with
+        | r -> Some r
+        | exception Invalid_argument _ -> None
+      in
+      run Verify.check_cyclic = run Verify_ref.check_cyclic)
+
+(* One pinned n = 10, m = 5, H = 420 instance of the paper's regime (U =
+   3.67) with a witness from the deterministic classic search: one
+   [check_cyclic] call, a cache hit's cost in [mgrts serve], must
+   allocate at most 64 words per schedule cell.  The limit sits between
+   the ~17 words per cell the check needs and the 300-480 that per-task
+   tables spanning the whole horizon, (H/T_i)·H words each, cost. *)
+let pinned_5x420 =
+  Taskset.of_tuples
+    [
+      (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
+      (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
+    ]
+
+let allocated_words f =
+  (* A minor collection on each side flushes the allocation counters. *)
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  let total (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+  total after -. total before
+
+let test_check_cyclic_allocation () =
+  let ts = pinned_5x420 and m = 5 in
+  let sched =
+    match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m with
+    | Encodings.Outcome.Feasible s, _ -> s
+    | _ -> Alcotest.fail "the pinned instance has no witness"
+  in
+  check Alcotest.int "H" 420 (Schedule.horizon sched);
+  Alcotest.(check bool) "witness verifies" true (Verify.check_cyclic ts sched = Ok ());
+  (* The least of three calls: a major slice that lands inside one can
+     skew its counters, never the allocation itself. *)
+  let words =
+    List.fold_left Float.min Float.infinity
+      (List.init 3 (fun _ -> allocated_words (fun () -> Verify.check_cyclic ts sched)))
+  in
+  let per_cell = words /. float_of_int (m * Schedule.horizon sched) in
+  if per_cell > 64. then
+    Alcotest.failf "check_cyclic allocated %.1f words per cell (limit 64)" per_cell
+
 (* ------------------------------------------------------------------ *)
 (* Clone                                                                *)
 
@@ -568,6 +738,9 @@ let () =
             test_check_cyclic_rejects_per_job_excess;
           Alcotest.test_case "cyclic: rejects wrong totals" `Quick
             test_check_cyclic_rejects_wrong_total;
+          prop_check_cyclic_matches_reference;
+          Alcotest.test_case "cyclic: at most 64 words per cell" `Quick
+            test_check_cyclic_allocation;
         ] );
       ( "clone",
         [
