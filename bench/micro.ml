@@ -121,16 +121,19 @@ let generator_test =
 (* One pinned n = 10, m = 5, H = 420 instance of the paper's regime and
    its witness from the deterministic classic search.  [check_cyclic] is
    what a serve cache hit runs; [check] on the same schedule is its plain
-   sibling, so the pair shows what the cyclic form costs on top. *)
+   sibling, so the pair shows what the cyclic form costs on top.  The
+   LLF witness on the same instance is what a feasible serve miss runs
+   first (845 simulated slots, then [Verify.check]). *)
+let pinned_5x420_taskset =
+  Rt_model.Taskset.of_tuples
+    [
+      (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
+      (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
+    ]
+
 let pinned_5x420 =
   lazy
-    (let ts =
-       Rt_model.Taskset.of_tuples
-         [
-           (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
-           (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
-         ]
-     in
+    (let ts = pinned_5x420_taskset in
      match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m:5 with
      | Encodings.Outcome.Feasible sched, _ -> (ts, sched)
      | _ -> failwith "micro: the pinned 5x420 instance has no witness")
@@ -140,6 +143,11 @@ let verify_check_test =
     (Staged.stage (fun () ->
          let ts, sched = Lazy.force pinned_5x420 in
          ignore (Rt_model.Verify.check ts sched)))
+
+let llf_witness_test =
+  Test.make ~name:"sim.llf-witness(5x420)"
+    (Staged.stage (fun () ->
+         ignore (Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited pinned_5x420_taskset ~m:5)))
 
 let verify_check_cyclic_test =
   Test.make ~name:"verify.check_cyclic(5x420)"
@@ -161,6 +169,7 @@ let tests =
       sat_clause_dedup_test;
       deque_test;
       sim_test;
+      llf_witness_test;
       generator_test;
       verify_check_test;
       verify_check_cyclic_test;

@@ -379,7 +379,7 @@ let baselines_cmd =
     Term.(const run $ limit_arg $ instances_arg $ seed_arg)
 
 let analyze_cmd =
-  let run file m work_budget quiet =
+  let run file m work_budget =
     guard @@ fun () ->
     let ts = read_taskset file in
     let work_budget = if work_budget > 0 then Some work_budget else None in
@@ -402,11 +402,6 @@ let analyze_cmd =
         print_endline "certificate: FAILED validation (analyzer bug)";
         1
       end
-    | Analysis.Trivially_feasible sched ->
-      Printf.printf "trivially feasible: static partitioned schedule found (%.4fs)\n"
-        report.Analysis.time_s;
-      if not quiet then Format.printf "%a@." Schedule.pp sched;
-      0
     | Analysis.Pruned d ->
       Format.printf "statically undecided (%.4fs): %a@." report.Analysis.time_s
         Analysis.Domains.pp d;
@@ -418,13 +413,12 @@ let analyze_cmd =
       & info [ "work-budget" ] ~docv:"UNITS"
           ~doc:"Analyzer work budget in abstract units (0 = default).")
   in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Do not print the schedule.") in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run the static schedulability analyzer alone: certified refutation, static \
-          schedule, or pruned domains.")
-    Term.(const run $ file_arg $ m_arg $ work_budget $ quiet)
+         "Run the static schedulability analyzer alone: certified refutation (exit 0) or \
+          pruned domains (exit 2).")
+    Term.(const run $ file_arg $ m_arg $ work_budget)
 
 let minproc_cmd =
   let run file solver limit =

@@ -4,10 +4,7 @@ open Rt_model
 module Domains = Domains
 module Certificate = Certificate
 
-type verdict =
-  | Infeasible of Certificate.t
-  | Trivially_feasible of Schedule.t
-  | Pruned of Domains.t
+type verdict = Infeasible of Certificate.t | Pruned of Domains.t
 
 type report = {
   verdict : verdict;
@@ -300,89 +297,6 @@ let availability fx =
 let post_supply fx avail = Array.fold_left (fun acc a -> acc + Int.min fx.m a) 0 avail
 
 (* ------------------------------------------------------------------ *)
-(* Trivially-feasible pass: first-fit-decreasing-density partitioning with
-   a per-processor EDF packing over an unrolled double hyperperiod (so
-   wrapped windows are served in release order).  The witness is accepted
-   only if every job is fully served — and re-checked by Verify before the
-   verdict is trusted. *)
-
-(* At each unrolled slot x a processor runs, of its tasks' jobs with
-   r ≤ x < r + D and work left, the one with the earliest absolute
-   deadline, the lowest task id on a tie.  A constrained-deadline task has
-   at most one such job: the one whose cyclic window holds x mod T, if
-   its unrolled window holds x too.  Returns the schedule and each job's
-   unserved units. *)
-let edf_pack ts windows ~m ~assign =
-  let horizon = Windows.horizon windows in
-  let jobs = Windows.jobs windows in
-  let rem = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
-  let sched = Schedule.create ~m ~horizon in
-  for proc = 0 to m - 1 do
-    let mine = List.filter (fun i -> assign.(i) = proc) (List.init (Taskset.size ts) Fun.id) in
-    for x = 0 to (2 * horizon) - 1 do
-      let t = Intmath.imod x horizon in
-      if Schedule.get sched ~proc ~time:t = Schedule.idle then begin
-        let best = ref (-1) and best_deadline = ref max_int in
-        List.iter
-          (fun i ->
-            let g = Windows.job_id_at windows ~task:i ~time:t in
-            if g >= 0 && rem.(g) > 0 then begin
-              let release = jobs.(g).release in
-              let deadline = release + (Taskset.task ts i).deadline in
-              if release <= x && x < deadline && deadline < !best_deadline then begin
-                best := g;
-                best_deadline := deadline
-              end
-            end)
-          mine;
-        if !best >= 0 then begin
-          Schedule.set sched ~proc ~time:t jobs.(!best).task;
-          rem.(!best) <- rem.(!best) - 1
-        end
-      end
-    done
-  done;
-  (sched, rem)
-
-let try_partition fx budget =
-  let ts = fx.ts and m = fx.m and horizon = fx.horizon in
-  (* Each of 2T unrolled slots per processor looks at its tasks once. *)
-  let cost = 2 * horizon * (fx.n + m) in
-  if not (spend budget cost ~note:"partitioned-fit pass skipped: work budget exhausted") then
-    None
-  else begin
-    let order = Array.init fx.n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let da = Task.density (Taskset.task ts a) and db = Task.density (Taskset.task ts b) in
-        if da <> db then Float.compare db da else Int.compare a b)
-      order;
-    let bin_demand = Array.make m 0 in
-    let assign = Array.make fx.n (-1) in
-    let fits = ref true in
-    Array.iter
-      (fun i ->
-        let task = Taskset.task ts i in
-        let d = Taskset.jobs_per_hyperperiod ts i * task.wcet in
-        let rec place j =
-          if j >= m then fits := false
-          else if bin_demand.(j) + d <= horizon then begin
-            bin_demand.(j) <- bin_demand.(j) + d;
-            assign.(i) <- j
-          end
-          else place (j + 1)
-        in
-        place 0)
-      order;
-    if not !fits then None
-    else begin
-      let sched, rem = edf_pack ts fx.windows ~m ~assign in
-      if Array.for_all (fun r -> r = 0) rem && Verify.is_feasible ts sched then Some sched
-      else None
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let build_domains fx ~m_lower avail =
   let d = Domains.create ~n:fx.n ~m:fx.m ~horizon:fx.horizon in
@@ -471,13 +385,9 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
               (Infeasible
                  (certificate fx
                     (Certificate.Interval_demand { start; len; demand; supply = m * len })))
-          | None -> (
-            match try_partition fx budget with
-            | Some sched ->
-              finish ~m_lower:!m_low ~skipped:budget.notes (Trivially_feasible sched)
-            | None ->
-              finish ~m_lower:!m_low ~skipped:budget.notes
-                (Pruned (build_domains fx ~m_lower:!m_low avail)))
+          | None ->
+            finish ~m_lower:!m_low ~skipped:budget.notes
+              (Pruned (build_domains fx ~m_lower:!m_low avail))
         end)
     end
   end
@@ -505,6 +415,4 @@ module For_tests = struct
   let fixpoint_allowed ts ~m =
     let fx = make_fx ts ~m (Windows.build ts) in
     match run_fixpoint fx with exception Contradiction _ -> None | () -> Some fx.allowed
-
-  let edf_pack ts ~m ~assign = edf_pack ts (Windows.build ts) ~m ~assign
 end

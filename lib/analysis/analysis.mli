@@ -8,11 +8,13 @@
     - [Infeasible certificate] — a machine-checkable, pretty-printable
       chain of interval/slot demand arguments ({!Certificate.validate}
       re-verifies it independently);
-    - [Trivially_feasible schedule] — a witness found statically (a
-      partitioned first-fit with per-processor EDF packing succeeded);
     - [Pruned domains] — per-slot forced tasks, blocked cells, dead slots
       and a lower bound on any feasible [m] ({!Domains}), ready to seed
       every backend's search.
+
+    The analyzer only refutes and prunes.  Feasible instances are
+    answered before it runs, by the witness stage of {!Core.solve}: a
+    verified global-LLF schedule ({!Sched.Sim.llf_witness}).
 
     The passes, in increasing cost order:
 
@@ -45,10 +47,7 @@
 module Domains = Domains
 module Certificate = Certificate
 
-type verdict =
-  | Infeasible of Certificate.t
-  | Trivially_feasible of Rt_model.Schedule.t
-  | Pruned of Domains.t
+type verdict = Infeasible of Certificate.t | Pruned of Domains.t
 
 type report = {
   verdict : verdict;
@@ -90,7 +89,7 @@ val utilization_exceeds : Rt_model.Taskset.t -> m:int -> bool
 
 (**/**)
 
-(** Test-only access to the interval sweep and the EDF packing, at an
+(** Test-only access to the interval sweep and the fixpoint, at an
     unlimited work budget. *)
 module For_tests : sig
   val interval_scan :
@@ -104,10 +103,4 @@ module For_tests : sig
   val fixpoint_allowed : Rt_model.Taskset.t -> m:int -> bool array array option
   (** The usable cells after the forced-slot fixpoint; [None] when the
       fixpoint refutes [m]. *)
-
-  val edf_pack :
-    Rt_model.Taskset.t -> m:int -> assign:int array -> Rt_model.Schedule.t * int array
-  (** Per-processor EDF packing of [assign] (task → processor): the
-      schedule and each job's unserved units, jobs in {!Rt_model.Windows.jobs}
-      order. *)
 end

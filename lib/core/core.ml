@@ -111,16 +111,24 @@ let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
        arms its domains rather than re-running it inside the race. *)
     (Portfolio.solve ~jobs ~budget ~seed ~analyze:false ?domains ts ~m).Portfolio.verdict
 
-(* The static pre-pass on a constrained system and identical platform:
-   decide outright when the analyzer can, otherwise return the pruned
-   domains for the search backend. *)
+(* The witness stage: a global-LLF schedule that {!Sched.Sim.llf_witness}
+   has verified, or [None].  Skipped when U > m, where no schedule exists
+   and the simulation would only run until its backlog overflows. *)
+let witness ~budget ts ~m =
+  if Analysis.utilization_exceeds ts ~m then None else Sched.Sim.llf_witness ~budget ts ~m
+
+(* The pre-search pass on a constrained system and identical platform:
+   a witness decides a feasible instance outright; otherwise the analyzer
+   refutes it or returns the pruned domains for the search backend. *)
 let static_pass ~analyze ~platform ~budget ts ~m =
   if not (analyze && Platform.is_identical platform) then `Search None
   else
-    match (Analysis.analyze ~wall:budget ts ~m).Analysis.verdict with
-    | Analysis.Infeasible _ -> `Decided Encodings.Outcome.Infeasible
-    | Analysis.Trivially_feasible sched -> `Decided (Encodings.Outcome.Feasible sched)
-    | Analysis.Pruned d -> `Search (Some d)
+    match witness ~budget ts ~m with
+    | Some sched -> `Decided (Encodings.Outcome.Feasible sched)
+    | None -> (
+      match (Analysis.analyze ~wall:budget ts ~m).Analysis.verdict with
+      | Analysis.Infeasible _ -> `Decided Encodings.Outcome.Infeasible
+      | Analysis.Pruned d -> `Search (Some d))
 
 let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
     ?(verify = true) ?(analyze = true) ts ~m =
@@ -276,8 +284,34 @@ let feasible ?solver ?budget ts ~m =
   | Infeasible -> Some false
   | Limit | Memout _ -> None
 
+(* A witness found before the race decides it.  The portfolio reports it
+   as a win of its static-analysis stage, with every spec unstarted, as it
+   reports an analyzer refutation. *)
+let decided_before_race ~specs verdict ~time_s =
+  let entry name outcome ~time_s ~winner status =
+    {
+      Portfolio.name;
+      outcome;
+      stats = Telemetry.Stats.make ~backend:name ~time_s ();
+      winner;
+      status;
+    }
+  in
+  {
+    Portfolio.verdict;
+    winner = Some Portfolio.analysis_arm_name;
+    time_s;
+    backends =
+      entry Portfolio.analysis_arm_name (Some verdict) ~time_s ~winner:true Portfolio.Ran
+      :: List.map
+           (fun spec ->
+             entry (Portfolio.spec_name spec) None ~time_s:0. ~winner:false
+               Portfolio.Not_started)
+           specs;
+  }
+
 let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verify = true)
-    ?analyze ?stall_beats ts ~m =
+    ?(analyze = true) ?stall_beats ts ~m =
   let platform = Platform.identical ~m in
   let fail_invalid v =
     failwith
@@ -286,13 +320,31 @@ let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verif
   in
   let check ~platform ts schedule =
     if verify then
-      match Verify.check ~platform ts schedule with
-      | Ok () -> ()
-      | Error (v :: _) -> fail_invalid v
-      | Error [] -> assert false
+      Telemetry.with_span "verify" ~cat:"core" (fun () ->
+          match Verify.check ~platform ts schedule with
+          | Ok () -> ()
+          | Error (v :: _) -> fail_invalid v
+          | Error [] -> assert false)
+  in
+  (* The witness stage runs before the race, under the portfolio's
+     static-analysis name; the analyzer itself stays the race's arm 0. *)
+  let race cts =
+    let t0 = Timer.start () in
+    let found =
+      if not analyze then None
+      else
+        Telemetry.with_span Portfolio.analysis_arm_name ~cat:"portfolio" (fun () ->
+            witness ~budget cts ~m)
+    in
+    match found with
+    | Some sched ->
+      decided_before_race
+        ~specs:(Option.value specs ~default:Portfolio.default_specs)
+        (Feasible sched) ~time_s:(Timer.elapsed t0)
+    | None -> Portfolio.solve ?specs ?jobs ~budget ~seed ~analyze ?stall_beats cts ~m
   in
   if Taskset.is_constrained ts then begin
-    let r = Portfolio.solve ?specs ?jobs ~budget ~seed ?analyze ?stall_beats ts ~m in
+    let r = race ts in
     (match r.Portfolio.verdict with
      | Feasible schedule -> check ~platform ts schedule
      | Infeasible | Limit | Memout _ -> ());
@@ -302,16 +354,17 @@ let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verif
     let reduction = Clone.transform ts in
     let cloned = Clone.cloned reduction in
     let clone_platform = Clone.map_platform reduction platform in
-    let r = Portfolio.solve ?specs ?jobs ~budget ~seed ?analyze ?stall_beats cloned ~m in
+    let r = race cloned in
     match r.Portfolio.verdict with
     | Feasible clone_schedule ->
       check ~platform:clone_platform cloned clone_schedule;
       let mapped = Clone.map_schedule reduction clone_schedule in
       (if verify then
-         match Verify.check_cyclic ~platform ts mapped with
-         | Ok () -> ()
-         | Error (v :: _) -> fail_invalid v
-         | Error [] -> assert false);
+         Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
+             match Verify.check_cyclic ~platform ts mapped with
+             | Ok () -> ()
+             | Error (v :: _) -> fail_invalid v
+             | Error [] -> assert false));
       { r with Portfolio.verdict = Feasible mapped }
     | Infeasible | Limit | Memout _ -> r
   end

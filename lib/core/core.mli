@@ -77,11 +77,14 @@ val solve :
     {!Rt_model.Verify} and raises [Failure] on a solver bug — schedules you
     receive are guaranteed feasible.
 
-    [analyze] (default true) runs the {!Analysis} static pass first on
-    identical platforms: a certified refutation or a statically built
-    schedule returns without any search (so even [Local_search] can report
-    [Infeasible] through this path), and otherwise the pruned domains are
-    fed to the chosen backend.  [analyze:false] restores the bare backend.
+    [analyze] (default true) runs the pre-search pass first on identical
+    platforms.  Its witness stage simulates global LLF
+    ({!Sched.Sim.llf_witness}): a schedule the simulation proves periodic
+    and {!Rt_model.Verify} accepts returns without any search.  Otherwise
+    the {!Analysis} static pass runs: a certified refutation returns
+    without any search (so even [Local_search] can report [Infeasible]
+    through this path), and otherwise the pruned domains are fed to the
+    chosen backend.  [analyze:false] restores the bare backend.
 
     Arbitrary-deadline task sets are transparently reduced with the clone
     transform (Section VI-B); the returned schedule then spans the clone
@@ -134,8 +137,8 @@ val solve_csp2_opt :
     combined memo + nogood tables, [nogoods] toggles dominance-nogood
     learning, [jobs]/[split_depth] control subtree splitting) and
     returning the engine's counters — nodes, memo and nogood
-    hits/misses/stores, subtrees, steals — or [None] when the static
-    pass decided without any search.  Identical platforms only (built
+    hits/misses/stores, subtrees, steals — or [None] when the pre-search
+    pass (witness stage or static analyzer) decided without any search.  Identical platforms only (built
     from [m]); the clone transform and schedule verification behave
     exactly as in {!solve}. *)
 
@@ -153,8 +156,11 @@ val solve_portfolio :
 (** Like [solve ~solver:(Portfolio jobs)] but returns the full race result
     — per-backend outcome, node/fail counts, times and the winner — for
     callers that report statistics ({!Portfolio.summary} renders it as one
-    line).  The static analyzer runs as arm 0 of the race unless
-    [analyze:false] (see {!Portfolio.solve}); [stall_beats] tunes (or,
+    line).  Unless [analyze:false], the witness stage runs before the
+    race: a verified LLF schedule ends it before any arm starts, reported
+    as a win of the {!Portfolio.analysis_arm_name} stage with every spec
+    unstarted.  Otherwise the static analyzer runs as arm 0 of the race
+    (see {!Portfolio.solve}); [stall_beats] tunes (or,
     with a non-positive value, disables) the stall watchdog.  Applies the
     same clone transform and schedule verification as {!solve}; identical
     platforms only. *)

@@ -101,7 +101,7 @@ let run ?(progress = fun _ -> ()) ?jobs (config : Config.t) =
          analyzer-decided ones so the comparison only counts real search. *)
       let searched =
         match (Analysis.analyze ts ~m).Analysis.verdict with
-        | Analysis.Infeasible _ | Analysis.Trivially_feasible _ -> false
+        | Analysis.Infeasible _ -> false
         | Analysis.Pruned _ -> true
       in
       if searched then begin

@@ -5,7 +5,6 @@ type totals = {
   old_filter_refuted : int;
   static_refuted : int;
   certificates_valid : int;
-  static_schedules : int;
   pruned_with_facts : int;
   forced_cells : int;
   blocked_cells : int;
@@ -24,7 +23,6 @@ let empty =
     old_filter_refuted = 0;
     static_refuted = 0;
     certificates_valid = 0;
-    static_schedules = 0;
     pruned_with_facts = 0;
     forced_cells = 0;
     blocked_cells = 0;
@@ -75,7 +73,6 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
               (t.certificates_valid
               + Bool.to_int (Analysis.Certificate.validate ts (Platform.identical ~m) cert));
           }
-        | Analysis.Trivially_feasible _ -> { t with static_schedules = t.static_schedules + 1 }
         | Analysis.Pruned d ->
           let forced = Analysis.Domains.forced_cells d in
           let blocked = Analysis.Domains.blocked_cells d in
@@ -127,7 +124,6 @@ let render t =
     t.old_filter_refuted;
   line "  certificates re-validated %4d  (of %d refutations)" t.certificates_valid
     t.static_refuted;
-  line "  scheduled statically      %4d" t.static_schedules;
   line "  pruned domains emitted    %4d  (with at least one fact)" t.pruned_with_facts;
   let cells = max 1 t.window_cells in
   line "  forced cells %d, blocked cells %d, dead slots %d (%.2f%% of %d window cells)"

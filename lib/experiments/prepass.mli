@@ -12,7 +12,6 @@ type totals = {
   old_filter_refuted : int;  (** Refuted by utilization alone ([r > 1]). *)
   static_refuted : int;  (** Analyzer [Infeasible]; always >= the above. *)
   certificates_valid : int;  (** Refutations whose certificate re-validated. *)
-  static_schedules : int;  (** Analyzer [Trivially_feasible]. *)
   pruned_with_facts : int;  (** [Pruned] verdicts carrying at least one fact. *)
   forced_cells : int;
   blocked_cells : int;

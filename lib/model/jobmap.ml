@@ -23,6 +23,15 @@ let job_count t = t.first.(Taskset.size t.taskset)
 let jobs_of_task t i = t.first.(i + 1) - t.first.(i)
 let first_of_task t i = t.first.(i)
 
+(* The job among [count] whose window holds absolute instant [abs], or -1.
+   A top-level function, not a local closure: [local_job_at] runs once per
+   executed cell in {!Verify.check}, which must not allocate per cell. *)
+let job_at_instant (tk : Task.t) ~offset ~count abs =
+  if abs < offset then -1
+  else
+    let k = (abs - offset) / tk.period in
+    if k < count && abs - (offset + (k * tk.period)) < tk.deadline then k else -1
+
 let local_job_at t ~task ~time =
   let tk = Taskset.task t.taskset task in
   let offset = t.offsets.(task) in
@@ -30,14 +39,8 @@ let local_job_at t ~task ~time =
   let slot = Prelude.Intmath.imod time t.horizon in
   (* A cyclic slot corresponds to absolute instants [slot] and [slot + T];
      with constrained deadlines at most one of the two hits a window. *)
-  let try_abs abs =
-    if abs < offset then -1
-    else
-      let k = (abs - offset) / tk.period in
-      if k < count && abs - (offset + (k * tk.period)) < tk.deadline then k else -1
-  in
-  let k = try_abs slot in
-  if k >= 0 then k else try_abs (slot + t.horizon)
+  let k = job_at_instant tk ~offset ~count slot in
+  if k >= 0 then k else job_at_instant tk ~offset ~count (slot + t.horizon)
 
 let global_job_at t ~task ~time =
   let k = local_job_at t ~task ~time in

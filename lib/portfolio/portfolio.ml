@@ -156,9 +156,6 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
           `Decided
             ( Encodings.Outcome.Infeasible,
               entry Encodings.Outcome.Infeasible true ~forced:0 ~blocked:0 )
-        | Analysis.Trivially_feasible sched ->
-          let o = Encodings.Outcome.Feasible sched in
-          `Decided (o, entry o true ~forced:0 ~blocked:0)
         | Analysis.Pruned d ->
           `Race
             ( Some d,

@@ -144,10 +144,12 @@ val solve :
     arm 0, capped by its own work-unit budget {e and} by half of
     [budget]'s remaining wall clock ({!Prelude.Timer.sub}, so the caller's
     limits and stop flag remain in force) — the search arms always keep at
-    least half the allowance: an [Infeasible] certificate or a statically built schedule
-    ends the race before any search arm starts, and a [Pruned] result
-    hands every arm the reduced domains.  Pass [domains] to supply
-    already-computed facts instead; the analyzer is then skipped.
+    least half the allowance: an [Infeasible] certificate ends the race
+    before any search arm starts, and a [Pruned] result hands every arm
+    the reduced domains.  Pass [domains] to supply already-computed facts
+    instead; the analyzer is then skipped.  The witness stage, which
+    decides feasible instances before any analysis, is not part of the
+    race: {!Core.solve_portfolio} runs it first.
     @raise Invalid_argument on [m < 1], an empty [specs], or a [domains]
     fingerprint that does not match the instance.
     @raise All_arms_crashed when every arm that ran crashed. *)

@@ -52,7 +52,7 @@ let schedule ts ~m =
   if not ok then None
   else begin
     let hp = Taskset.hyperperiod ts in
-    let omax = Array.fold_left (fun acc (t : Task.t) -> max acc t.offset) 0 (Taskset.tasks ts) in
+    let omax = Array.fold_left (fun acc (t : Task.t) -> Int.max acc t.offset) 0 (Taskset.tasks ts) in
     let horizon = omax + (2 * hp) in
     let grid = Schedule.create ~m ~horizon in
     for j = 0 to m - 1 do

@@ -10,12 +10,12 @@ let minimize_migrations sched =
     let mx = ref 0 in
     for j = 0 to m - 1 do
       for t = 0 to horizon - 1 do
-        mx := max !mx (Schedule.get sched ~proc:j ~time:t)
+        mx := Int.max !mx (Schedule.get sched ~proc:j ~time:t)
       done
     done;
     !mx + 1
   in
-  let last_proc = Array.make (max ntasks 1) (-1) in
+  let last_proc = Array.make (Int.max ntasks 1) (-1) in
   let prev = Array.make m Schedule.idle in
   for time = 0 to horizon - 1 do
     let tasks = Schedule.tasks_at sched ~time in

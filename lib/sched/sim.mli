@@ -49,7 +49,8 @@ val run :
   m:int ->
   result
 (** Simulate (default policy EDF).  Ties are broken by task id, making the
-    simulation deterministic.
+    simulation deterministic.  Each slot is one pass of an allocation-free
+    step kernel over the tasks, shared with {!llf_witness}.
 
     Without [horizon] the simulation is adaptive: it runs hyperperiod
     chunks past [O_max] until the per-task backlog repeats at a chunk
@@ -58,8 +59,33 @@ val run :
     the 10^7-cell memory cap is hit ([exact = false]; treat [ok] as "no
     miss found", not schedulability).  An overloaded system (utilization
     above capacity) always ends with a miss because its backlog grows.
+    The first window, [(O_max + T)·m] cells, is checked against the cap
+    before anything is simulated.
 
     With an explicit [horizon], exactly that many slots are simulated and
     [exact] is true only when a miss was found.
-    @raise Invalid_argument on non-constrained-deadline systems or
-    horizons above 10^7 slots. *)
+    @raise Invalid_argument on non-constrained-deadline systems, explicit
+    horizons above 10^7 slots, or an adaptive first window above 10^7
+    cells. *)
+
+val llf_witness :
+  budget:Prelude.Timer.budget -> Rt_model.Taskset.t -> m:int -> Rt_model.Schedule.t option
+(** A cyclic schedule of one hyperperiod from global LLF, or [None].
+
+    The run is {!run}[ ~policy:LLF] without a horizon, through the same
+    kernel, but each slot [t] is written to cell [t mod T] of an [m × T]
+    schedule instead of a growing grid, and the run stops at the first
+    deadline miss.  When the backlog repeats at a hyperperiod boundary,
+    the scheduler repeats that hyperperiod forever (the periodicity
+    argument above), so the buffer — the last hyperperiod, folded mod
+    [T] — is a feasible cyclic schedule in the paper's sense.  It is
+    returned only if {!Rt_model.Verify.check} also accepts it.
+
+    [None] when the first window [(O_max + T)·m] exceeds the 10^7-cell
+    cap (checked before anything is allocated), on a miss, when no
+    repetition shows within the caps of {!run}, or once [budget] (polled
+    once per hyperperiod chunk) is exceeded or cancelled.  Allocates two
+    [m × T] grids (the buffer and the returned copy), O(n + m) words of
+    state and what the check needs; nothing per simulated slot.
+    @raise Invalid_argument on [m < 1] or a non-constrained-deadline
+    system. *)

@@ -1,8 +1,7 @@
-(* Reference implementations of the analyzer's interval demand-bound scan
-   and EDF packing, in their direct forms: the scan recounts every job
-   for every candidate (start, end) pair, and the packing scans every job
-   of a processor at each unrolled slot.  Both are slow, so they serve
-   only as test oracles on small instances. *)
+(* Reference implementation of the analyzer's interval demand-bound scan,
+   in its direct form: it recounts every job for every candidate
+   (start, end) pair.  It is slow, so it serves only as a test oracle on
+   small instances. *)
 
 open Prelude
 open Rt_model
@@ -77,40 +76,3 @@ let interval_scan ?allowed ts ~m =
         ends)
     starts;
   (!bound, !hit)
-
-(* Per-processor EDF over an unrolled double hyperperiod: at each slot,
-   the job of the processor's tasks with r <= x < r + D and work left
-   whose (absolute deadline, task, index) key is smallest.  Returns the
-   schedule and each job's unserved units. *)
-let edf_pack ts ~m ~assign =
-  let windows = Windows.build ts in
-  let horizon = Windows.horizon windows in
-  let jobs = Windows.jobs windows in
-  let rem = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
-  let sched = Schedule.create ~m ~horizon in
-  for proc = 0 to m - 1 do
-    let mine =
-      Array.to_list jobs |> List.filter (fun (j : Windows.job) -> assign.(j.task) = proc)
-    in
-    for x = 0 to (2 * horizon) - 1 do
-      let t = Intmath.imod x horizon in
-      if Schedule.get sched ~proc ~time:t = Schedule.idle then begin
-        let best = ref None in
-        List.iter
-          (fun (j : Windows.job) ->
-            let d = (Taskset.task ts j.task).deadline in
-            let g = Windows.global_index windows ~task:j.task ~index:j.index in
-            if rem.(g) > 0 && j.release <= x && x < j.release + d then
-              match !best with
-              | Some (key, _) when key <= (j.release + d, j.task, j.index) -> ()
-              | _ -> best := Some ((j.release + d, j.task, j.index), g))
-          mine;
-        match !best with
-        | Some ((_, task, _), g) ->
-          Schedule.set sched ~proc ~time:t task;
-          rem.(g) <- rem.(g) - 1
-        | None -> ()
-      end
-    done
-  done;
-  (sched, rem)

@@ -9,6 +9,7 @@ MGRTS=$1
 EXAMPLE=$2
 MALFORMED=$3
 OVERFLOW=$4
+HUGE=$5
 
 fail() {
   echo "test_cli: $1" >&2
@@ -42,6 +43,12 @@ esac
 expect 4 "hyperperiod overflow" solve "$OVERFLOW" -m 2
 expect 4 "overflow reaches every reader" analyze "$OVERFLOW" -m 2
 expect 3 "unknown failpoint site" solve "$EXAMPLE" -m 2 --failpoints bogus=raise:Out_of_memory
+
+# T ≈ 1.6·10¹⁸: the simulator must refuse the first window up front
+# (invalid input), not grow its grid until memory runs out.
+(ulimit -v 1000000; "$MGRTS" simulate "$HUGE" -m 5 >/dev/null 2>&1)
+got=$?
+[ "$got" -eq 3 ] || fail "huge hyperperiod (simulate): expected exit 3, got $got"
 
 # Injected single-arm crash: the race must still decide, exit 0.
 expect 0 "portfolio survives one crash" \

@@ -217,7 +217,7 @@ let prop_opt_domains_preserve_verdict =
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
       match (Analysis.analyze ts ~m).Analysis.verdict with
-      | Analysis.Infeasible _ | Analysis.Trivially_feasible _ -> true
+      | Analysis.Infeasible _ -> true
       | Analysis.Pruned d ->
         let bare, _ = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
         let pruned, _ = Csp2.Opt.solve ~budget:(budget ()) ~domains:d ts ~m in

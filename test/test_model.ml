@@ -453,31 +453,14 @@ let prop_check_cyclic_matches_reference =
       in
       run Verify.check_cyclic = run Verify_ref.check_cyclic)
 
-(* One pinned n = 10, m = 5, H = 420 instance of the paper's regime (U =
-   3.67) with a witness from the deterministic classic search: one
-   [check_cyclic] call, a cache hit's cost in [mgrts serve], must
-   allocate at most 64 words per schedule cell.  The limit sits between
-   the ~17 words per cell the check needs and the 300-480 that per-task
-   tables spanning the whole horizon, (H/T_i)·H words each, cost. *)
-let pinned_5x420 =
-  Taskset.of_tuples
-    [
-      (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
-      (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
-    ]
-
-let allocated_words f =
-  (* A minor collection on each side flushes the allocation counters. *)
-  Gc.minor ();
-  let before = Gc.quick_stat () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor ();
-  let after = Gc.quick_stat () in
-  let total (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
-  total after -. total before
-
+(* The pinned n = 10, m = 5, H = 420 instance with a witness from the
+   deterministic classic search: one [check_cyclic] call, a cache hit's
+   cost in [mgrts serve], must allocate at most 64 words per schedule
+   cell.  The limit sits between the ~17 words per cell the check needs
+   and the 300-480 that per-task tables spanning the whole horizon,
+   (H/T_i)·H words each, cost. *)
 let test_check_cyclic_allocation () =
-  let ts = pinned_5x420 and m = 5 in
+  let ts = Test_util.pinned_5x420 and m = 5 in
   let sched =
     match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m with
     | Encodings.Outcome.Feasible s, _ -> s
@@ -489,7 +472,7 @@ let test_check_cyclic_allocation () =
      skew its counters, never the allocation itself. *)
   let words =
     List.fold_left Float.min Float.infinity
-      (List.init 3 (fun _ -> allocated_words (fun () -> Verify.check_cyclic ts sched)))
+      (List.init 3 (fun _ -> Test_util.allocated_words (fun () -> Verify.check_cyclic ts sched)))
   in
   let per_cell = words /. float_of_int (m * Schedule.horizon sched) in
   if per_cell > 64. then

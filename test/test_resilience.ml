@@ -426,7 +426,9 @@ let test_solve_result () =
 let test_solve_result_all_arms_crashed () =
   with_clean_failpoints @@ fun () ->
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  match Core.solve_result ~solver:(Core.Portfolio 2) running ~m:2 with
+  (* Without [analyze:false] the witness stage decides the running
+     example before any arm starts. *)
+  match Core.solve_result ~solver:(Core.Portfolio 2) ~analyze:false running ~m:2 with
   | Error (Core.All_arms_crashed crashes) ->
     Alcotest.(check bool) "crash list non-empty" true (crashes <> [])
   | Ok _ -> Alcotest.fail "every arm crashes: no verdict possible"

@@ -113,6 +113,139 @@ let prop_edf_ok_implies_csp_feasible =
       | (O.Infeasible | O.Limit | O.Memout _), _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Step kernel and LLF witness against the reference simulator          *)
+
+module Ref = Sim_ref
+
+let witness = Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited
+
+(* An instance, a policy (0 EDF, 1 LLF, 2 fixed priorities from a random
+   rank permutation) and an optional fixed horizon. *)
+let kernel_case_gen =
+  let open QCheck2.Gen in
+  Test_util.instance_gen ~nmax:6 ~tmax:8 () >>= fun (ts, m) ->
+  int_bound 2 >>= fun policy ->
+  shuffle_a (Array.init (Taskset.size ts) Fun.id) >>= fun ranks ->
+  opt (int_range 1 40) >>= fun horizon -> return (ts, m, policy, ranks, horizon)
+
+let print_kernel_case (ts, m, policy, ranks, horizon) =
+  Printf.sprintf "%s policy=%d ranks=[%s] horizon=%s"
+    (Test_util.print_instance (ts, m))
+    policy
+    (String.concat ";" (Array.to_list (Array.map string_of_int ranks)))
+    (match horizon with Some h -> string_of_int h | None -> "adaptive")
+
+let same_misses ours theirs =
+  List.length ours = List.length theirs
+  && List.for_all2
+       (fun (a : Sched.Sim.miss) (b : Ref.miss) -> a.task = b.task && a.job = b.job && a.at = b.at)
+       ours theirs
+
+let kernel_agrees (ts, m, policy, ranks, horizon) =
+  let ours, theirs =
+    match policy with
+    | 0 -> (Sched.Sim.run ?horizon ~policy:Sched.Sim.EDF ts ~m, Ref.run ?horizon ~policy:Ref.EDF ts ~m)
+    | 1 -> (Sched.Sim.run ?horizon ~policy:Sched.Sim.LLF ts ~m, Ref.run ?horizon ~policy:Ref.LLF ts ~m)
+    | _ ->
+      ( Sched.Sim.run ?horizon ~policy:(Sched.Sim.Fixed_priority ranks) ts ~m,
+        Ref.run ?horizon ~policy:(Ref.Fixed_priority ranks) ts ~m )
+  in
+  ours.Sched.Sim.ok = theirs.Ref.ok
+  && ours.Sched.Sim.exact = theirs.Ref.exact
+  && same_misses ours.Sched.Sim.misses theirs.Ref.misses
+  && Schedule.equal ours.Sched.Sim.grid theirs.Ref.grid
+  && ours.Sched.Sim.busy = theirs.Ref.busy
+
+let prop_kernel_matches_reference =
+  qtest ~count:400 "kernel matches the reference simulator" kernel_case_gen
+    ~print:print_kernel_case kernel_agrees
+
+(* Slowly overloaded systems whose backlog keeps changing for two or three
+   chunks before the miss; random small instances rarely need more than
+   one chunk, so these pin the chunk loop. *)
+let test_kernel_past_one_chunk () =
+  List.iter
+    (fun (m, tuples) ->
+      let ts = Taskset.of_tuples tuples in
+      List.iter
+        (fun policy ->
+          let case = (ts, m, policy, Array.init (Taskset.size ts) Fun.id, None) in
+          Alcotest.(check bool) (print_kernel_case case) true (kernel_agrees case))
+        [ 0; 1; 2 ])
+    [
+      (2, [ (3, 1, 6, 6); (1, 3, 4, 4); (0, 1, 2, 2); (2, 2, 3, 3) ]);
+      (1, [ (4, 5, 6, 6); (2, 2, 3, 6) ]);
+      (1, [ (1, 2, 4, 5); (4, 2, 5, 5); (4, 2, 5, 5) ]);
+    ]
+
+(* The reference run's last hyperperiod, each slot t moved to t mod H. *)
+let fold_last_hyperperiod (res : Ref.result) ts ~m =
+  let hp = Taskset.hyperperiod ts and len = Schedule.horizon res.Ref.grid in
+  let folded = Schedule.create ~m ~horizon:hp in
+  for t = len - hp to len - 1 do
+    for p = 0 to m - 1 do
+      Schedule.set folded ~proc:p ~time:(t mod hp) (Schedule.get res.Ref.grid ~proc:p ~time:t)
+    done
+  done;
+  folded
+
+let prop_witness_matches_reference =
+  qtest ~count:400 "LLF witness = reference LLF run, folded"
+    (Test_util.instance_gen ~nmax:6 ~tmax:8 ())
+    ~print:Test_util.print_instance
+    (fun (ts, m) ->
+      let reference = Ref.run ~policy:Ref.LLF ts ~m in
+      match witness ts ~m with
+      | Some sched ->
+        reference.Ref.ok && reference.Ref.exact
+        && Verify.is_feasible ts sched
+        && Schedule.equal sched (fold_last_hyperperiod reference ts ~m)
+      | None -> not (reference.Ref.ok && reference.Ref.exact))
+
+(* T ≈ 1.6·10¹⁸: the first adaptive window is far past the cell cap, so
+   the simulator refuses it before simulating anything, and the witness
+   skips it without allocating a grid. *)
+let huge_hyperperiod =
+  Taskset.of_tuples (List.map (fun p -> (0, 1, p, p)) [ 1097; 1093; 1091; 1087; 1069; 1063 ])
+
+let test_window_bounded_up_front () =
+  let ts = huge_hyperperiod in
+  Alcotest.check_raises "run refuses" (Invalid_argument "Sim.run: horizon too large") (fun () ->
+      ignore (Sched.Sim.run ts ~m:5));
+  Alcotest.(check bool) "no witness" true (witness ts ~m:5 = None);
+  let words = Test_util.allocated_words (fun () -> witness ts ~m:5) in
+  if words > 1000. then Alcotest.failf "skipping the witness allocated %.0f words" words;
+  (* Within the cap the same window still runs. *)
+  let res = Sched.Sim.run (Taskset.of_tuples [ (3, 1, 2, 2) ]) ~m:1 in
+  check Alcotest.int "O_max + H, then one chunk" 7 (Schedule.horizon res.Sched.Sim.grid)
+
+let test_witness_budget () =
+  let ts = Examples.running_example in
+  Alcotest.(check bool) "witness" true (witness ts ~m:2 <> None);
+  let cancelled = Prelude.Timer.budget () in
+  Prelude.Timer.cancel cancelled;
+  Alcotest.(check bool) "cancelled budget" true
+    (Sched.Sim.llf_witness ~budget:cancelled ts ~m:2 = None);
+  Alcotest.(check bool) "miss on one processor" true (witness ts ~m:1 = None)
+
+(* On the pinned 5×420 instance, one witness, verification included,
+   allocates at most 12 words per simulated slot, well below the ~92 a
+   per-slot list sort costs. *)
+let test_witness_allocation () =
+  let ts = Test_util.pinned_5x420 and m = 5 in
+  Alcotest.(check bool) "witness" true (witness ts ~m <> None);
+  let slots = Schedule.horizon (Sched.Sim.run ~policy:Sched.Sim.LLF ts ~m).Sched.Sim.grid in
+  (* The least of three calls: a major slice that lands inside one can
+     skew its counters, never the allocation itself. *)
+  let words =
+    List.fold_left Float.min Float.infinity
+      (List.init 3 (fun _ -> Test_util.allocated_words (fun () -> witness ts ~m)))
+  in
+  let per_slot = words /. float_of_int slots in
+  if per_slot > 12. then
+    Alcotest.failf "llf_witness allocated %.1f words per simulated slot (limit 12)" per_slot
+
+(* ------------------------------------------------------------------ *)
 (* Partitioned                                                          *)
 
 let test_partition_trivial () =
@@ -282,6 +415,16 @@ let () =
           Alcotest.test_case "fixed horizon" `Quick test_fixed_horizon_mode;
           prop_sim_grid_consistent;
           prop_edf_ok_implies_csp_feasible;
+          Alcotest.test_case "window bounded up front" `Quick test_window_bounded_up_front;
+          prop_kernel_matches_reference;
+          Alcotest.test_case "kernel matches the reference past one chunk" `Quick
+            test_kernel_past_one_chunk;
+        ] );
+      ( "witness",
+        [
+          Alcotest.test_case "budget and misses" `Quick test_witness_budget;
+          Alcotest.test_case "at most 12 words per slot" `Quick test_witness_allocation;
+          prop_witness_matches_reference;
         ] );
       ( "partitioned",
         [

@@ -70,4 +70,19 @@ for id in a b over boom after line-3; do
   grep -q "\"id\": \"$id\"" "$OUT" || fail "no response for request $id"
 done
 
+# T ≈ 1.6·10¹⁸, under a 1 GB address-space limit: the request must be
+# refused as invalid input at once (the witness stage skips it before
+# allocating anything), and the daemon must answer the next request.
+HUGE_OUT=$(mktemp)
+trap 'rm -f "$OUT" "$HUGE_OUT"' EXIT
+{
+  echo '{"id":"huge","taskset":[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],[0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]],"m":5}'
+  echo '{"id":"next","taskset":[[0,1,2,2]],"m":1}'
+} | (ulimit -v 1000000; timeout 1 "$MGRTS" serve --workers 1) >"$HUGE_OUT" 2>/dev/null
+code=$?
+[ "$code" -eq 0 ] || fail "huge-hyperperiod daemon: expected exit 0 within a second, got $code"
+grep -q '"id": "huge", "status": "error", "code": 3' "$HUGE_OUT" || fail "huge hyperperiod: expected code 3"
+grep -q '"id": "next", "status": "decided", "code": 0' "$HUGE_OUT" ||
+  fail "no answer after the huge-hyperperiod request"
+
 echo "serve smoke ok"

@@ -62,3 +62,23 @@ let platform_gen ~n =
   in
   list_size (return n) row >>= fun rows ->
   return (Platform.heterogeneous ~rates:(Array.of_list (List.map Array.of_list rows)))
+
+(* One pinned n = 10, m = 5, H = 420 instance of the paper's regime (U =
+   3.67), the one bench/micro.ml times: the allocation gates measure on it. *)
+let pinned_5x420 =
+  Taskset.of_tuples
+    [
+      (2, 2, 2, 4); (3, 3, 6, 7); (3, 1, 4, 5); (5, 3, 6, 6); (2, 1, 4, 4);
+      (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
+    ]
+
+(* Words one call of [f] allocates, minor and major heap together.  A
+   minor collection on each side flushes the allocation counters. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  let total (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+  total after -. total before

@@ -46,7 +46,7 @@
    Exit status 1 iff any finding; CI gates on it. *)
 
 let hot_dirs =
-  [ "prelude"; "model"; "csp2"; "sat"; "fd"; "analysis"; "localsearch"; "encodings" ]
+  [ "prelude"; "model"; "csp2"; "sat"; "fd"; "analysis"; "localsearch"; "encodings"; "sched" ]
 
 type finding = { f_file : string; f_line : int; f_col : int; f_rule : string; f_msg : string }
 
