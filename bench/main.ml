@@ -123,7 +123,7 @@ let () =
     (fun () ->
       print_string (Prepass.render (Prepass.run ~progress:(progress_every 100 "instance") config)));
 
-  run_section "CSP2OPT (classic search vs bitset+memo engine, node parity and wall clock)"
+  run_section "CSP2OPT (memo-off classic search vs memo-on engine, node parity and wall clock)"
     (fun () ->
       (* MGRTS_JOBS forces the parallel run's domain count (e.g. [2] to
          measure the work-stealing path even on a single-core box);

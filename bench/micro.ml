@@ -31,15 +31,40 @@ let csp1_sat_test =
   Test.make ~name:"csp1-sat.solve(example)"
     (Staged.stage (fun () -> ignore (Encodings.Csp1_sat.solve running_example ~m:2)))
 
+(* The paper's search (memo off) next to the memo-on default, on the
+   running example: 12 slots, so what these measure is mostly the fixed
+   cost of one solve — context, engine rebind, schedule. *)
 let csp2_test =
   Test.make ~name:"csp2-dc.solve(example)"
     (Staged.stage (fun () ->
-         ignore (Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC running_example ~m:2)))
+         ignore (Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC running_example ~m:2)))
 
 let csp2_opt_test =
   Test.make ~name:"csp2-opt-dc.solve(example)"
     (Staged.stage (fun () ->
          ignore (Csp2.Opt.solve ~heuristic:Csp2.Heuristic.DC running_example ~m:2)))
+
+(* Instance 54 of the benchmark's tight corpus: no LLF witness, pruned
+   (not refuted) by the analyzer, so a serve miss hands it to the search
+   with these domains; memo off decides it feasible in 426 nodes. *)
+let tight_searched =
+  lazy
+    (let ts =
+       Rt_model.Taskset.of_tuples
+         [
+           (1, 1, 3, 4); (3, 2, 7, 7); (4, 1, 1, 5); (0, 3, 3, 4); (5, 4, 6, 6);
+           (0, 2, 2, 4); (4, 3, 3, 5); (6, 3, 7, 7); (0, 1, 2, 7); (4, 7, 7, 7);
+         ]
+     in
+     match (Analysis.analyze ts ~m:5).Analysis.verdict with
+     | Analysis.Pruned d -> (ts, d)
+     | Analysis.Infeasible _ -> failwith "micro: the tight instance is feasible")
+
+let csp2_tight_test =
+  Test.make ~name:"csp2-dc.solve(tight)"
+    (Staged.stage (fun () ->
+         let ts, domains = Lazy.force tight_searched in
+         ignore (Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC ~domains ts ~m:5)))
 
 let ibits_test =
   Test.make ~name:"ibits.iter"
@@ -119,7 +144,7 @@ let generator_test =
         fun () -> ignore (Gen.Generator.generate rng params)))
 
 (* One pinned n = 10, m = 5, H = 420 instance of the paper's regime and
-   its witness from the deterministic classic search.  [check_cyclic] is
+   its witness from the deterministic memo-off search.  [check_cyclic] is
    what a serve cache hit runs; [check] on the same schedule is its plain
    sibling, so the pair shows what the cyclic form costs on top.  The
    LLF witness on the same instance is what a feasible serve miss runs
@@ -134,7 +159,7 @@ let pinned_5x420_taskset =
 let pinned_5x420 =
   lazy
     (let ts = pinned_5x420_taskset in
-     match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m:5 with
+     match Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC ts ~m:5 with
      | Encodings.Outcome.Feasible sched, _ -> (ts, sched)
      | _ -> failwith "micro: the pinned 5x420 instance has no witness")
 
@@ -165,6 +190,7 @@ let tests =
       csp1_test;
       csp1_sat_test;
       csp2_test;
+      csp2_tight_test;
       csp2_opt_test;
       sat_clause_dedup_test;
       deque_test;

@@ -98,8 +98,9 @@ let jobs_arg =
 
 let memo_mb_arg =
   let doc =
-    "csp2-opt transposition-table cap in MiB (0 disables memoization; ignored by other \
-     solvers)."
+    "csp2-opt cap in MiB on the transposition table and nogood store together (0 turns \
+     off the memo, the nogoods and the capacity bound: the paper's search, as csp2+<h> \
+     runs it; ignored by other solvers)."
   in
   Arg.(value & opt int Csp2.Opt.default_memo_mb & info [ "memo-mb" ] ~docv:"MIB" ~doc)
 

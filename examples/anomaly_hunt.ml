@@ -60,7 +60,7 @@ let () =
   let edf_ok = ref 0 and rm_ok = ref 0 and dm_ok = ref 0 and llf_ok = ref 0 and part_ok = ref 0 in
   Array.iter
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:0.2 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:0.2 ()) ts ~m with
       | Encodings.Outcome.Feasible _, _ ->
         incr feasible;
         let check flag policy = if policy then incr flag in

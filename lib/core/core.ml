@@ -89,7 +89,7 @@ let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
     fst (Encodings.Csp1_sat.solve ~budget ~seed ?domains ts ~m)
   | Csp2_generic -> fst (Encodings.Csp2_fd.solve ~platform ~budget ~seed ?domains ts ~m)
   | Csp2_dedicated heuristic ->
-    if identical then fst (Csp2.Solver.solve ~heuristic ~budget ?domains ts ~m)
+    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ?domains ts ~m)
     else begin
       het_reject "Csp2_dedicated";
       fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
@@ -130,78 +130,71 @@ let static_pass ~analyze ~platform ~budget ts ~m =
       | Analysis.Infeasible _ -> `Decided Encodings.Outcome.Infeasible
       | Analysis.Pruned d -> `Search (Some d))
 
+(* The one verify/clone path behind every entry point.  [search] decides
+   a constrained system on a platform and returns its verdict plus
+   whatever the entry point reports next to it; a [Feasible] schedule is
+   verified before it is returned.  Arbitrary deadlines are reduced via
+   the clone transform (Section VI-B): the search runs on the clone
+   system, and the schedule it returns is verified there, mapped back to
+   the original task ids and re-verified with the cyclic checker against
+   the {e original} task set — the clone-level check alone would let a
+   [Clone.map_schedule] bug ship an invalid schedule. *)
+let verified ~who ~verify ~platform ts search =
+  let check span checker ~platform ts schedule =
+    if verify then
+      Telemetry.with_span span ~cat:"core" (fun () ->
+          match checker ~platform ts schedule with
+          | Ok () -> ()
+          | Error (v :: _) ->
+            failwith
+              (Format.asprintf "Core.%s: solver produced an invalid schedule: %a" who
+                 Verify.pp_violation v)
+          | Error [] -> assert false)
+  in
+  let check_plain = check "verify" (fun ~platform ts s -> Verify.check ~platform ts s) in
+  if Taskset.is_constrained ts then begin
+    let verdict, extra = search ~platform ts in
+    (match verdict with
+    | Feasible schedule -> check_plain ~platform ts schedule
+    | Infeasible | Limit | Memout _ -> ());
+    (verdict, extra)
+  end
+  else begin
+    let reduction = Clone.transform ts in
+    let cloned = Clone.cloned reduction in
+    let clone_platform = Clone.map_platform reduction platform in
+    match search ~platform:clone_platform cloned with
+    | Feasible clone_schedule, extra ->
+      check_plain ~platform:clone_platform cloned clone_schedule;
+      let mapped = Clone.map_schedule reduction clone_schedule in
+      check "verify-mapped"
+        (fun ~platform ts s -> Verify.check_cyclic ~platform ts s)
+        ~platform ts mapped;
+      (Feasible mapped, extra)
+    | ((Infeasible | Limit | Memout _) as other), extra -> (other, extra)
+  end
+
+(* The static pass under its span, then [search] on what it leaves;
+   [decided] stands in for the search's report when it never runs. *)
+let after_static_pass ~analyze ~budget ~m ~platform ~decided ts search =
+  match
+    Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
+        static_pass ~analyze ~platform ~budget ts ~m)
+  with
+  | `Decided verdict -> (verdict, decided)
+  | `Search domains -> search ?domains ts
+
 let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
     ?(verify = true) ?(analyze = true) ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
   if Platform.processors platform <> m then invalid_arg "Core.solve: platform/m mismatch";
   let t0 = Timer.start () in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve: solver produced an invalid schedule: %a" Verify.pp_violation
-         v)
-  in
-  let check ~platform ts schedule =
-    if verify then
-      Telemetry.with_span "verify" ~cat:"core" (fun () ->
-          match Verify.check ~platform ts schedule with
-          | Ok () -> ()
-          | Error (v :: _) -> fail_invalid v
-          | Error [] -> assert false)
-  in
-  (* Clone-mapped schedules span the clone hyperperiod and serve the
-     original (possibly arbitrary-deadline) system: re-verify them with the
-     cyclic checker against the *original* task set — the clone-level check
-     alone would let a [Clone.map_schedule] bug ship an invalid schedule. *)
-  let check_mapped ~platform ts schedule =
-    if verify then
-      Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
-          match Verify.check_cyclic ~platform ts schedule with
-          | Ok () -> ()
-          | Error (v :: _) -> fail_invalid v
-          | Error [] -> assert false)
-  in
-  let static_pass ~platform ts =
-    Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-        static_pass ~analyze ~platform ~budget ts ~m)
-  in
-  let dispatch ~platform ?domains ts =
-    Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
-        dispatch solver ~platform ~budget ~seed ?domains ts ~m)
-  in
-  let verdict =
-    if Taskset.is_constrained ts then begin
-      match static_pass ~platform ts with
-      | `Decided (Feasible schedule as result) ->
-        check ~platform ts schedule;
-        result
-      | `Decided other -> other
-      | `Search domains -> (
-        match dispatch ~platform ?domains ts with
-        | Feasible schedule as result ->
-          check ~platform ts schedule;
-          result
-        | (Infeasible | Limit | Memout _) as other -> other)
-    end
-    else begin
-      (* Arbitrary deadlines: reduce via the clone transform (Section VI-B),
-         solve the constrained clone system, map task ids back. *)
-      let reduction = Clone.transform ts in
-      let cloned = Clone.cloned reduction in
-      let clone_platform = Clone.map_platform reduction platform in
-      let map_back clone_schedule =
-        check ~platform:clone_platform cloned clone_schedule;
-        let mapped = Clone.map_schedule reduction clone_schedule in
-        check_mapped ~platform ts mapped;
-        Feasible mapped
-      in
-      match static_pass ~platform:clone_platform cloned with
-      | `Decided (Feasible clone_schedule) -> map_back clone_schedule
-      | `Decided other -> other
-      | `Search domains -> (
-        match dispatch ~platform:clone_platform ?domains cloned with
-        | Feasible clone_schedule -> map_back clone_schedule
-        | (Infeasible | Limit | Memout _) as other -> other)
-    end
+  let verdict, () =
+    verified ~who:"solve" ~verify ~platform ts (fun ~platform ts ->
+        after_static_pass ~analyze ~budget ~m ~platform ~decided:() ts (fun ?domains ts ->
+            ( Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
+                  dispatch solver ~platform ~budget ~seed ?domains ts ~m),
+              () )))
   in
   (verdict, Timer.elapsed t0)
 
@@ -210,66 +203,22 @@ let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(see
    subtrees, steals) — [None] when the static pass decided alone. *)
 let solve_csp2_opt ?(heuristic = Csp2.Heuristic.DC) ?(budget = Timer.unlimited)
     ?(verify = true) ?(analyze = true) ?memo_mb ?nogoods ?jobs ?split_depth ts ~m =
-  let platform = Platform.identical ~m in
   let t0 = Timer.start () in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve_csp2_opt: solver produced an invalid schedule: %a"
-         Verify.pp_violation v)
+  let verdict, stats =
+    verified ~who:"solve_csp2_opt" ~verify ~platform:(Platform.identical ~m) ts
+      (fun ~platform ts ->
+        after_static_pass ~analyze ~budget ~m ~platform ~decided:None ts (fun ?domains ts ->
+            let outcome, stats =
+              Telemetry.with_span
+                ("search:csp2-opt+" ^ Csp2.Heuristic.to_string heuristic)
+                ~cat:"core"
+                (fun () ->
+                  Csp2.Opt.solve_parallel ~heuristic ~budget ?domains ?memo_mb ?nogoods ?jobs
+                    ?split_depth ts ~m)
+            in
+            (outcome, Some stats)))
   in
-  let check ~platform ts schedule =
-    if verify then
-      match Verify.check ~platform ts schedule with
-      | Ok () -> ()
-      | Error (v :: _) -> fail_invalid v
-      | Error [] -> assert false
-  in
-  (* [map_back] verifies what it returns (the cyclic checker on the
-     original task set for clone-mapped schedules); [check] covers the
-     clone-level schedule before mapping. *)
-  let run ~platform ~map_back cts =
-    match
-      Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-          static_pass ~analyze ~platform ~budget cts ~m)
-    with
-    | `Decided (Feasible schedule) ->
-      check ~platform cts schedule;
-      (Feasible (map_back schedule), Timer.elapsed t0, None)
-    | `Decided other -> (other, Timer.elapsed t0, None)
-    | `Search domains ->
-      let outcome, stats =
-        Telemetry.with_span
-          ("search:csp2-opt+" ^ Csp2.Heuristic.to_string heuristic)
-          ~cat:"core"
-          (fun () ->
-            Csp2.Opt.solve_parallel ~heuristic ~budget ?domains ?memo_mb ?nogoods ?jobs
-              ?split_depth cts ~m)
-      in
-      let verdict =
-        match outcome with
-        | Feasible schedule ->
-          check ~platform cts schedule;
-          Feasible (map_back schedule)
-        | (Infeasible | Limit | Memout _) as other -> other
-      in
-      (verdict, Timer.elapsed t0, Some stats)
-  in
-  if Taskset.is_constrained ts then run ~platform ~map_back:Fun.id ts
-  else begin
-    let reduction = Clone.transform ts in
-    let clone_platform = Clone.map_platform reduction platform in
-    let map_back clone_schedule =
-      let mapped = Clone.map_schedule reduction clone_schedule in
-      (if verify then
-         Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
-             match Verify.check_cyclic ~platform ts mapped with
-             | Ok () -> ()
-             | Error (v :: _) -> fail_invalid v
-             | Error [] -> assert false));
-      mapped
-    in
-    run ~platform:clone_platform ~map_back (Clone.cloned reduction)
-  end
+  (verdict, Timer.elapsed t0, stats)
 
 let analyze ?work_budget ts ~m =
   if Taskset.is_constrained ts then (Analysis.analyze ?work_budget ts ~m, ts)
@@ -312,23 +261,9 @@ let decided_before_race ~specs verdict ~time_s =
 
 let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verify = true)
     ?(analyze = true) ?stall_beats ts ~m =
-  let platform = Platform.identical ~m in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve_portfolio: solver produced an invalid schedule: %a"
-         Verify.pp_violation v)
-  in
-  let check ~platform ts schedule =
-    if verify then
-      Telemetry.with_span "verify" ~cat:"core" (fun () ->
-          match Verify.check ~platform ts schedule with
-          | Ok () -> ()
-          | Error (v :: _) -> fail_invalid v
-          | Error [] -> assert false)
-  in
   (* The witness stage runs before the race, under the portfolio's
      static-analysis name; the analyzer itself stays the race's arm 0. *)
-  let race cts =
+  let race ~platform:_ cts =
     let t0 = Timer.start () in
     let found =
       if not analyze then None
@@ -336,38 +271,20 @@ let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verif
         Telemetry.with_span Portfolio.analysis_arm_name ~cat:"portfolio" (fun () ->
             witness ~budget cts ~m)
     in
-    match found with
-    | Some sched ->
-      decided_before_race
-        ~specs:(Option.value specs ~default:Portfolio.default_specs)
-        (Feasible sched) ~time_s:(Timer.elapsed t0)
-    | None -> Portfolio.solve ?specs ?jobs ~budget ~seed ~analyze ?stall_beats cts ~m
+    let r =
+      match found with
+      | Some sched ->
+        decided_before_race
+          ~specs:(Option.value specs ~default:Portfolio.default_specs)
+          (Feasible sched) ~time_s:(Timer.elapsed t0)
+      | None -> Portfolio.solve ?specs ?jobs ~budget ~seed ~analyze ?stall_beats cts ~m
+    in
+    (r.Portfolio.verdict, r)
   in
-  if Taskset.is_constrained ts then begin
-    let r = race ts in
-    (match r.Portfolio.verdict with
-     | Feasible schedule -> check ~platform ts schedule
-     | Infeasible | Limit | Memout _ -> ());
-    r
-  end
-  else begin
-    let reduction = Clone.transform ts in
-    let cloned = Clone.cloned reduction in
-    let clone_platform = Clone.map_platform reduction platform in
-    let r = race cloned in
-    match r.Portfolio.verdict with
-    | Feasible clone_schedule ->
-      check ~platform:clone_platform cloned clone_schedule;
-      let mapped = Clone.map_schedule reduction clone_schedule in
-      (if verify then
-         Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
-             match Verify.check_cyclic ~platform ts mapped with
-             | Ok () -> ()
-             | Error (v :: _) -> fail_invalid v
-             | Error [] -> assert false));
-      { r with Portfolio.verdict = Feasible mapped }
-    | Infeasible | Limit | Memout _ -> r
-  end
+  let verdict, r =
+    verified ~who:"solve_portfolio" ~verify ~platform:(Platform.identical ~m) ts race
+  in
+  { r with Portfolio.verdict }
 
 type min_processors_outcome = Minproc.min_processors_outcome =
   | Exact of int

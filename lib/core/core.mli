@@ -27,13 +27,16 @@ type solver =
   | Csp1_sat  (** Boolean encoding compiled to CNF (Section IV's SAT remark). *)
   | Csp2_generic  (** Multi-valued encoding on the generic solver (ablation). *)
   | Csp2_dedicated of Csp2.Heuristic.t
-      (** The paper's hand-written chronological search (Section V). *)
+      (** The paper's hand-written chronological search (Section V):
+          {!Csp2.Opt.solve} with [memo_mb:0], which runs the paper's rules
+          exactly — no memo, no nogoods, no capacity bound.  Falls back to
+          {!Csp2.Het} on heterogeneous platforms. *)
   | Csp2_opt of Csp2.Heuristic.t
-      (** {!Csp2.Opt}: the dedicated search with packed eligibility
-          bitsets, state-dominance memoization and the aggregate capacity
-          bound — sequential here; {!solve_csp2_opt} adds the
-          subtree-splitting knobs and the engine counters.  Falls back to
-          {!Csp2.Het} on heterogeneous platforms, like [Csp2_dedicated]. *)
+      (** The same engine in its memo-on configuration (state-dominance
+          memoization, nogood learning, the aggregate capacity bound) —
+          sequential here; {!solve_csp2_opt} adds the subtree-splitting
+          knobs and the engine counters.  Falls back to {!Csp2.Het} on
+          heterogeneous platforms, like [Csp2_dedicated]. *)
   | Local_search  (** Min-conflicts (future work #1); cannot prove infeasibility. *)
   | Portfolio of int
       (** Race the {!Portfolio.default_specs} backends on the given number
@@ -134,7 +137,8 @@ val solve_csp2_opt :
   verdict * float * Csp2.Opt.stats option
 (** {!solve} specialized to the optimized engine via
     {!Csp2.Opt.solve_parallel}, exposing its knobs ([memo_mb] caps the
-    combined memo + nogood tables, [nogoods] toggles dominance-nogood
+    combined memo + nogood tables, [0] turning them and the capacity
+    bound off, [nogoods] toggles dominance-nogood
     learning, [jobs]/[split_depth] control subtree splitting) and
     returning the engine's counters — nodes, memo and nogood
     hits/misses/stores, subtrees, steals — or [None] when the pre-search

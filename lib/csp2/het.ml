@@ -14,6 +14,13 @@ let slots_from (job : Windows.job) t =
   in
   len - go 0 len
 
+type stats = {
+  nodes : int;
+  fails : int;
+  max_time_reached : int;
+  time_s : float;
+}
+
 exception Stop_limit
 
 let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ~platform ts =
@@ -169,7 +176,7 @@ let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ~platform ts =
   in
   let stats () =
     {
-      Solver.nodes = !nodes;
+      nodes = !nodes;
       fails = !fails;
       max_time_reached = !max_time;
       time_s = Timer.elapsed t0;

@@ -22,17 +22,24 @@
     eligible (the exact-demand constraint (12) forbids running it again).
     Idle is instead ordered last, so work-conserving assignments are still
     tried first.  (On identical platforms the rule is safe — see
-    {!Solver} — because swapping a later unit into the idle slot preserves
+    {!Opt} — because swapping a later unit into the idle slot preserves
     the completed amount.)
 
     Search is complete; [Infeasible] is a proof.  Intended for the
     moderate-size platforms of the heterogeneity extension; the identical
-    fast path is {!Solver.solve}. *)
+    fast path is {!Opt.solve}. *)
+
+type stats = {
+  nodes : int;  (** Cell assignments tried, idle included. *)
+  fails : int;
+  max_time_reached : int;  (** Deepest slot decided. *)
+  time_s : float;
+}
 
 val solve :
   ?heuristic:Heuristic.t ->
   ?budget:Prelude.Timer.budget ->
   platform:Rt_model.Platform.t ->
   Rt_model.Taskset.t ->
-  Encodings.Outcome.t * Solver.stats
+  Encodings.Outcome.t * stats
 (** @raise Invalid_argument on non-constrained-deadline task sets. *)

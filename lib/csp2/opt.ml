@@ -69,13 +69,14 @@ module Memo = struct
      instances that are decided in a few hundred nodes. *)
   let initial_size = 4096
 
+  (* No table at all when even 64 entries would break the byte cap: a
+     floor above the cap would let one large key blow through it. *)
   let create ~job_count ~max_rem ~cap_bytes =
-    if cap_bytes <= 0 || max_rem > 0xFFFF then None
+    let wide = max_rem > 0xFF in
+    let key_len = Int.max 1 (job_count * if wide then 2 else 1) in
+    let slots = if cap_bytes <= 0 then 0 else cap_bytes / (key_len + entry_overhead) in
+    if slots < 64 || max_rem > 0xFFFF then None
     else begin
-      let wide = max_rem > 0xFF in
-      let key_len = Int.max 1 (job_count * if wide then 2 else 1) in
-      let budget_bytes = cap_bytes in
-      let slots = Int.max 64 (budget_bytes / (key_len + entry_overhead)) in
       let rec pow2 p = if 2 * p > slots || 2 * p <= 0 then p else pow2 (2 * p) in
       let cap_size = pow2 64 in
       let size = Int.min initial_size cap_size in
@@ -264,11 +265,12 @@ module Nogood = struct
      of unconditional recording at roughly half the store traffic. *)
   let min_subtree = 4
 
+  (* Like [Memo.create]: no store when 32 entries do not fit the share. *)
   let create ~job_count ~cap_bytes =
-    if cap_bytes <= 0 then None
+    let jn = Int.max 1 job_count in
+    let cap_entries = if cap_bytes <= 0 then 0 else cap_bytes / ((8 * jn) + entry_overhead) in
+    if cap_entries < 32 then None
     else begin
-      let jn = Int.max 1 job_count in
-      let cap_entries = Int.max 32 (cap_bytes / ((8 * jn) + entry_overhead)) in
       let size = Int.min 256 cap_entries in
       Some
         {
@@ -444,26 +446,32 @@ type ctx = {
   rank_of : int array;  (* task id -> rank *)
   deadline : int array;
   wcet : int array;
-  job_wcet : int array;  (* per global job *)
   domains : Analysis.Domains.t option;
-  usable_after : int array array;  (* as in Solver: only with domains *)
+  usable_after : int array array;  (* [task].(t): unblocked window slots >= t;
+                                      only built (and valid) with domains *)
   elig : Ibits.t array;  (* per slot, rank space: in-window and unblocked *)
   elig_built : bool array;  (* lazy build; forced before going parallel *)
-  zob_off : int array;  (* per global job: offset into [zob_data] *)
-  zob_data : int array;  (* flat Zobrist keys: [zob_off.(g) + c] tags rem.(g) = c *)
 }
 
-(* Identical to Solver.remaining_slots / Solver.build_usable_after; kept
-   local so the two engines stay independently evolvable. *)
+(* Remaining window slots of job (task, k) at sweep position [t], counting
+   both parts of a wrapped window (head slots are swept first but belong to
+   the same cyclic job as the tail). *)
 let remaining_slots cx ~task ~k ~t =
   let release = Jobmap.release cx.jm ~task ~k in
   let last = release + cx.deadline.(task) - 1 in
   if last < cx.horizon then last - t + 1
   else begin
+    (* Wrapped: head covers [0, last - T], tail covers [release, T-1]. *)
     let head_end = last - cx.horizon in
     if t <= head_end then head_end - t + 1 + (cx.horizon - release) else cx.horizon - t
   end
 
+(* With pruned domains the window arithmetic above over-counts: blocked
+   slots can never serve the job.  [usable_after.(i).(t)] replaces it with
+   the exact count of unblocked window slots at sweep positions >= t, so a
+   statically forced cell (unblocked count = remaining demand) becomes
+   urgent automatically and the urgency invariant [rem <= slots_left] is
+   preserved branch-wide. *)
 let build_usable_after jm deadline domains =
   let horizon = Jobmap.horizon jm in
   let n = Array.length deadline in
@@ -473,7 +481,7 @@ let build_usable_after jm deadline domains =
       let release = Jobmap.release jm ~task:i ~k in
       let slots =
         List.init deadline.(i) (fun d -> (release + d) mod horizon)
-        |> List.sort_uniq Int.compare
+        |> List.sort_uniq Int.compare (* sweep (= numeric) order; head first *)
       in
       let acc = ref 0 in
       List.iter
@@ -485,34 +493,24 @@ let build_usable_after jm deadline domains =
   done;
   ua
 
-(* Per-domain context scratch: the eligibility bitsets and the Zobrist
-   table are the two allocations [make_ctx] pays per solve, and both are
-   pure functions of the instance — so a batch campaign rebuilds their
-   {e contents} but can reuse their {e storage}.  The Zobrist keys live
-   in a [Prelude.Arena] (reset per solve, O(1)); the bitset array is
-   kept as long as the task count matches exactly (word counts must
-   agree) and the horizon fits.  A context built from scratch storage is
-   only ever consumed by solves issued from this domain before the next
-   [make_ctx] here, which is exactly the lifetime of a solve: the
-   parallel phase shares the context with pooled workers, but
-   [Pool.run] joins them before the caller can rebuild. *)
+(* Per-domain context scratch: the eligibility bitsets are the one
+   per-slot allocation [make_ctx] pays, and they are a pure function of
+   the instance — so a batch campaign rebuilds their {e contents} but can
+   reuse their {e storage}.  The bitset array is kept as long as the task
+   count matches exactly (word counts must agree) and the horizon fits.
+   A context built from scratch storage is only ever consumed by solves
+   issued from this domain before the next [make_ctx] here, which is
+   exactly the lifetime of a solve: the parallel phase shares the context
+   with pooled workers, but [Pool.run] joins them before the caller can
+   rebuild. *)
 type ctx_scratch = {
   mutable sc_n : int;  (* task count the cached bitsets were sized for *)
   mutable sc_elig : Ibits.t array;
   mutable sc_elig_built : bool array;
-  sc_zob : Arena.t;
-  mutable sc_zob_off : int array;
 }
 
-let ctx_scratch_slot : ctx_scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        sc_n = -1;
-        sc_elig = [||];
-        sc_elig_built = [||];
-        sc_zob = Arena.create ();
-        sc_zob_off = [||];
-      })
+let new_ctx_scratch () = { sc_n = -1; sc_elig = [||]; sc_elig_built = [||] }
+let ctx_scratch_slot : ctx_scratch Domain.DLS.key = Domain.DLS.new_key new_ctx_scratch
 
 let make_ctx ~heuristic ?domains ts ~m =
   if m < 1 then invalid_arg "Csp2.Opt.solve: m must be >= 1";
@@ -525,14 +523,6 @@ let make_ctx ~heuristic ?domains ts ~m =
   | _ -> ());
   let wcet = Array.init n (fun i -> (Taskset.task ts i).wcet) in
   let deadline = Array.init n (fun i -> (Taskset.task ts i).deadline) in
-  let jn = Jobmap.job_count jm in
-  let job_wcet = Array.make jn 0 in
-  for i = 0 to n - 1 do
-    let base = Jobmap.first_of_task jm i in
-    for k = 0 to Jobmap.jobs_of_task jm i - 1 do
-      job_wcet.(base + k) <- wcet.(i)
-    done
-  done;
   let sc = Domain.DLS.get ctx_scratch_slot in
   if sc.sc_n <> n || Array.length sc.sc_elig < horizon then begin
     sc.sc_n <- n;
@@ -540,19 +530,6 @@ let make_ctx ~heuristic ?domains ts ~m =
     sc.sc_elig_built <- Array.make horizon false
   end
   else Array.fill sc.sc_elig_built 0 horizon false;
-  (* Fixed seed: equal instances hash identically run to run, so node and
-     memo counters stay reproducible — and independently of scratch
-     reuse, since the keys are fully rewritten below. *)
-  let rng = Prng.create ~seed:0x2545F49 in
-  Arena.reset sc.sc_zob;
-  if Array.length sc.sc_zob_off <> jn then sc.sc_zob_off <- Array.make jn 0;
-  for g = 0 to jn - 1 do
-    let off = Arena.alloc sc.sc_zob (job_wcet.(g) + 1) in
-    sc.sc_zob_off.(g) <- off;
-    for c = 0 to job_wcet.(g) do
-      Arena.set sc.sc_zob (off + c) (Int64.to_int (Prng.bits64 rng) land max_int)
-    done
-  done;
   {
     jm;
     m;
@@ -562,15 +539,25 @@ let make_ctx ~heuristic ?domains ts ~m =
     rank_of = Heuristic.rank heuristic ts;
     deadline;
     wcet;
-    job_wcet;
     domains;
     usable_after =
       (match domains with Some d -> build_usable_after jm deadline d | None -> [||]);
     elig = sc.sc_elig;
     elig_built = sc.sc_elig_built;
-    zob_off = sc.sc_zob_off;
-    zob_data = Arena.data sc.sc_zob;
   }
+
+(* The root state: every job owes its task's full WCET. *)
+let fill_rem cx rem =
+  for i = 0 to cx.n - 1 do
+    Array.fill rem (Jobmap.first_of_task cx.jm i) (Jobmap.jobs_of_task cx.jm i) cx.wcet.(i)
+  done
+
+let root_total cx =
+  let acc = ref 0 in
+  for i = 0 to cx.n - 1 do
+    acc := !acc + (cx.wcet.(i) * Jobmap.jobs_of_task cx.jm i)
+  done;
+  !acc
 
 let build_elig cx t =
   let set = cx.elig.(t) in
@@ -595,41 +582,51 @@ let force_elig cx ~from =
     if not cx.elig_built.(t) then build_elig cx t
   done
 
+(* Zobrist key of "job [g] owes [c] units": a fixed bijective mixer of
+   the packed pair ([c <= 0xFFFF] whenever a memo exists), so equal
+   instances hash identically run to run and no per-solve key table is
+   built — on a Table IV instance that table alone took seconds. *)
+let zobrist g c =
+  let h = (g lsl 16) lor c in
+  let h = (h lxor (h lsr 33)) * 0x3F51AFD7ED558CCD in
+  let h = (h lxor (h lsr 29)) * 0x04CEB9FE1A85EC53 in
+  h lxor (h lsr 32)
+
 let init_hash cx =
   let h = ref 0 in
-  Array.iteri (fun g c -> h := !h lxor cx.zob_data.(cx.zob_off.(g) + c)) cx.job_wcet;
+  for i = 0 to cx.n - 1 do
+    let base = Jobmap.first_of_task cx.jm i in
+    for k = 0 to Jobmap.jobs_of_task cx.jm i - 1 do
+      h := !h lxor zobrist (base + k) cx.wcet.(i)
+    done
+  done;
   !h
 
 (* ------------------------------------------------------------------ *)
-(* Per-engine mutable state.  All per-slot buffers are preallocated and
-   reused: a search node allocates nothing.  Engines themselves are
-   pooled per domain (see [acquire]) so back-to-back solves reuse the
-   frames, the rem buffer and the — epoch-invalidated — memo table. *)
+(* Per-engine mutable state.  All buffers are reused: a search node
+   allocates nothing.  Engines themselves are pooled per domain (see
+   [acquire]) so back-to-back solves reuse the frames, the rem buffer and
+   the — epoch-invalidated — memo table.  The frame stack grows as the
+   search descends, so a solve pays only for the depths it reaches. *)
 
 type frame = {
   mutable time : int;
-  applied : int array;  (* task ids scheduled at this slot *)
+  applied : int array;  (* global job ids served at this slot *)
   mutable applied_n : int;
-  free : int array;  (* available, non-urgent task ids in rank order *)
-  mutable free_n : int;
-  urgent : int array;
-  mutable urgent_n : int;
-  combo : int array;  (* cursor into [free]; first [combo_k] cells live *)
+  combo : int array;  (* cursor into the slot's free list; first [combo_k] cells live *)
   mutable combo_k : int;
   mutable fresh : bool;
   mutable entry_nodes : int;  (* engine node count at frame activation *)
 }
 
-let new_frame n =
+(* A slot schedules at most [m] tasks, so [m] cells hold both the applied
+   set and the combination cursor. *)
+let new_frame cap =
   {
     time = 0;
-    applied = Array.make (Int.max 1 n) 0;
+    applied = Array.make cap 0;
     applied_n = 0;
-    free = Array.make (Int.max 1 n) 0;
-    free_n = 0;
-    urgent = Array.make (Int.max 1 n) 0;
-    urgent_n = 0;
-    combo = Array.make (Int.max 1 n) 0;
+    combo = Array.make cap 0;
     combo_k = 0;
     fresh = true;
     entry_nodes = 0;
@@ -646,15 +643,25 @@ type search = {
   mutable cx : ctx;
   mutable rem : int array;  (* per global job: units still owed *)
   mutable total_rem : int;
-  mutable hash : int;  (* Zobrist hash of [rem], maintained incrementally *)
+  mutable hash : int;  (* Zobrist hash of [rem], maintained while a memo exists *)
   mutable memo : Memo.t option;
   mutable nogood : Nogood.t option;
+  mutable memo_on : bool;  (* memo_mb > 0; gates the capacity bound *)
   mutable nogoods_on : bool;  (* gates nogood lookups and stores *)
   mutable memo_cap_mb : int;  (* the cap memo + nogood were created under *)
   mutable memo_store : bool;  (* stores gated off during frontier expansion *)
+  mutable urgency : bool;  (* forced inclusion of zero-laxity tasks (Section V-C3) *)
   mutable budget : Timer.budget;
   mutable frames : frame array;
-  mutable frame_cap : int;  (* task capacity of each frame's buffers *)
+  mutable frame_cap : int;  (* cells in each frame's buffers *)
+  (* The slot being advanced, classified afresh on every visit (O(n) to
+     derive; one set per frame would cost O(n·T) on Table IV instances). *)
+  mutable free : int array;  (* jobs of the available, non-urgent tasks, rank order *)
+  mutable free_n : int;
+  mutable urgent : int array;
+  mutable urgent_n : int;
+  mutable closing : int array;  (* urgency off: jobs in their last usable slot *)
+  mutable closing_n : int;
   mutable in_use : bool;
   mutable nodes : int;
   mutable fails : int;
@@ -664,56 +671,34 @@ type search = {
 (* One [--memo-mb] budget covers both tables: the nogood store takes an
    eighth of the bytes (its associative chains prune more per byte, but
    the direct-mapped memo answers in one probe and should stay large),
-   the memo the rest.  [memo_mb <= 0] disables both.  The split does NOT
-   depend on the [nogoods] flag: toggling learning off merely gates use
-   of the store, so a pooled engine alternating between on and off
-   solves (the bench ablation does exactly that) keeps both tables'
-   storage instead of reallocating the memo at a different size on
-   every rebind — and the ablation compares equal memo capacities. *)
+   the memo the rest.  [memo_mb <= 0] disables both, and the capacity
+   bound with them.  The split does NOT depend on the [nogoods] flag:
+   toggling learning off merely gates use of the store, so a pooled
+   engine alternating between on and off solves (the bench ablation does
+   exactly that) keeps both tables' storage instead of reallocating the
+   memo at a different size on every rebind — and the ablation compares
+   equal memo capacities. *)
 let split_budget ~memo_mb =
   let total = memo_mb * 1024 * 1024 in
   let ng = total / 8 in
   (total - ng, ng)
 
-let make_search cx ~budget ~memo_mb ~nogoods =
-  let rem = Array.copy cx.job_wcet in
-  let total_rem = Array.fold_left ( + ) 0 rem in
-  let max_rem = Array.fold_left Int.max 0 cx.wcet in
-  let memo_bytes, ng_bytes = split_budget ~memo_mb in
-  {
-    cx;
-    rem;
-    total_rem;
-    hash = init_hash cx;
-    memo = Memo.create ~job_count:(Array.length rem) ~max_rem ~cap_bytes:memo_bytes;
-    nogood = Nogood.create ~job_count:(Array.length rem) ~cap_bytes:ng_bytes;
-    nogoods_on = nogoods;
-    memo_cap_mb = memo_mb;
-    memo_store = true;
-    budget;
-    frames = Array.init (cx.horizon + 1) (fun _ -> new_frame cx.n);
-    frame_cap = Int.max 1 cx.n;
-    in_use = false;
-    nodes = 0;
-    fails = 0;
-    max_time = 0;
-  }
-
-(* Rebind a cached engine to a (possibly different) instance: reuse every
-   buffer that still fits, bump the memo epoch instead of freeing the
-   table, and zero the per-solve counters. *)
-let rebind s cx ~budget ~memo_mb ~nogoods =
-  let jn = Array.length cx.job_wcet in
-  if Array.length s.rem <> jn then s.rem <- Array.copy cx.job_wcet
-  else Array.blit cx.job_wcet 0 s.rem 0 jn;
-  s.total_rem <- Array.fold_left ( + ) 0 s.rem;
-  s.hash <- init_hash cx;
-  let n = Int.max 1 cx.n in
-  if Array.length s.frames < cx.horizon + 1 || s.frame_cap < n then begin
-    let cap = Int.max s.frame_cap n in
-    s.frames <-
-      Array.init (Int.max (Array.length s.frames) (cx.horizon + 1)) (fun _ -> new_frame cap);
-    s.frame_cap <- cap
+(* Bind an engine to a (possibly different) instance: reuse every buffer
+   that still fits, bump the memo epoch instead of freeing the table, and
+   zero the per-solve counters.  [memo_mb <= 0] builds neither table. *)
+let rebind s cx ~budget ~memo_mb ~nogoods ~urgency =
+  let jn = Jobmap.job_count cx.jm in
+  if Array.length s.rem <> jn then s.rem <- Array.make jn 0;
+  fill_rem cx s.rem;
+  s.total_rem <- root_total cx;
+  if Array.length s.free < cx.n then begin
+    s.free <- Array.make cx.n 0;
+    s.urgent <- Array.make cx.n 0;
+    s.closing <- Array.make cx.n 0
+  end;
+  if s.frame_cap < cx.m then begin
+    s.frames <- [||];
+    s.frame_cap <- cx.m
   end;
   let max_rem = Array.fold_left Int.max 0 cx.wcet in
   let wide = max_rem > 0xFF in
@@ -729,14 +714,49 @@ let rebind s cx ~budget ~memo_mb ~nogoods =
   | Some ng when memo_mb = s.memo_cap_mb && ng.Nogood.jn = Int.max 1 jn ->
     Nogood.reset ng
   | _ -> s.nogood <- Nogood.create ~job_count:jn ~cap_bytes:ng_bytes);
+  s.memo_on <- memo_mb > 0;
   s.nogoods_on <- nogoods;
   s.memo_cap_mb <- memo_mb;
+  s.hash <- (match s.memo with Some _ -> init_hash cx | None -> 0);
   s.memo_store <- true;
+  s.urgency <- urgency;
   s.budget <- budget;
   s.cx <- cx;
   s.nodes <- 0;
   s.fails <- 0;
   s.max_time <- 0
+
+let make_search cx ~budget ~memo_mb ~nogoods ~urgency =
+  let s =
+    {
+      cx;
+      rem = [||];
+      total_rem = 0;
+      hash = 0;
+      memo = None;
+      nogood = None;
+      memo_on = false;
+      nogoods_on = false;
+      memo_cap_mb = 0;
+      memo_store = true;
+      urgency;
+      budget;
+      frames = [||];
+      frame_cap = 0;
+      free = [||];
+      free_n = 0;
+      urgent = [||];
+      urgent_n = 0;
+      closing = [||];
+      closing_n = 0;
+      in_use = false;
+      nodes = 0;
+      fails = 0;
+      max_time = 0;
+    }
+  in
+  rebind s cx ~budget ~memo_mb ~nogoods ~urgency;
+  s
 
 (* One cached engine per domain.  The cache survives across solves —
    that is the point — so acquisition marks it busy and a nested acquire
@@ -744,15 +764,15 @@ let rebind s cx ~budget ~memo_mb ~nogoods =
    fresh transient engine. *)
 let engine_slot : search option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let acquire cx ~budget ~memo_mb ~nogoods =
+let acquire cx ~budget ~memo_mb ~nogoods ~urgency =
   let cell = Domain.DLS.get engine_slot in
   match !cell with
   | Some s when not s.in_use ->
     s.in_use <- true;
-    rebind s cx ~budget ~memo_mb ~nogoods;
+    rebind s cx ~budget ~memo_mb ~nogoods ~urgency;
     s
   | cached ->
-    let s = make_search cx ~budget ~memo_mb ~nogoods in
+    let s = make_search cx ~budget ~memo_mb ~nogoods ~urgency in
     s.in_use <- true;
     (match cached with None -> cell := Some s | Some _ -> ());
     s
@@ -766,42 +786,47 @@ let release s = s.in_use <- false
    the caller, so fresh-vs-reuse is an honest comparison there. *)
 let reset_caches () =
   Domain.DLS.get engine_slot := None;
-  Domain.DLS.set ctx_scratch_slot
-    {
-      sc_n = -1;
-      sc_elig = [||];
-      sc_elig_built = [||];
-      sc_zob = Arena.create ();
-      sc_zob_off = [||];
-    }
+  Domain.DLS.set ctx_scratch_slot (new_ctx_scratch ())
+
+(* The frame at [depth], doubling the stack when the search first gets
+   there. *)
+let frame_at s depth =
+  let have = Array.length s.frames in
+  if depth >= have then begin
+    let len = Int.max (depth + 1) (Int.min (Int.max 16 (2 * have)) (s.cx.horizon + 1)) in
+    let old = s.frames in
+    s.frames <- Array.init len (fun d -> if d < have then old.(d) else new_frame s.frame_cap)
+  end;
+  s.frames.(depth)
 
 let undo s f =
   if f.applied_n > 0 then begin
     for idx = 0 to f.applied_n - 1 do
-      let i = f.applied.(idx) in
-      let g = Jobmap.global_job_at s.cx.jm ~task:i ~time:f.time in
+      let g = f.applied.(idx) in
       let c = s.rem.(g) in
-      let zo = s.cx.zob_off.(g) in
       s.rem.(g) <- c + 1;
-      s.hash <- s.hash lxor s.cx.zob_data.(zo + c) lxor s.cx.zob_data.(zo + c + 1);
-      s.total_rem <- s.total_rem + 1
+      match s.memo with
+      | Some _ -> s.hash <- s.hash lxor zobrist g c lxor zobrist g (c + 1)
+      | None -> ()
     done;
+    s.total_rem <- s.total_rem + f.applied_n;
     f.applied_n <- 0
   end
 
-let apply_task s f i =
-  let g = Jobmap.global_job_at s.cx.jm ~task:i ~time:f.time in
+let apply_job s f g =
   let c = s.rem.(g) in
-  let zo = s.cx.zob_off.(g) in
   s.rem.(g) <- c - 1;
-  s.hash <- s.hash lxor s.cx.zob_data.(zo + c) lxor s.cx.zob_data.(zo + c - 1);
+  (match s.memo with
+  | Some _ -> s.hash <- s.hash lxor zobrist g c lxor zobrist g (c - 1)
+  | None -> ());
   s.total_rem <- s.total_rem - 1;
-  f.applied.(f.applied_n) <- i;
+  f.applied.(f.applied_n) <- g;
   f.applied_n <- f.applied_n + 1
 
 (* Entry checks for a state visited for the first time at this frame
-   activation.  All are functions of (t, rem) only, so pruning here can
-   only shed states with no feasible completion:
+   activation, all part of the memo-on configuration (off, the search is
+   exactly the paper's).  All are functions of (t, rem) only, so pruning
+   here can only shed states with no feasible completion:
    - aggregate capacity: the work still owed must fit in m units per
      remaining slot (urgency propagation guarantees every unfinished job's
      window is still open, so all of [total_rem] competes for them);
@@ -813,24 +838,23 @@ let apply_task s f i =
    regime and a small-m/long-horizon stream, while its scan cost 4x on
    the raw node rate — so it was dropped rather than windowed. *)
 let prune_entry s t =
-  if s.total_rem > s.cx.m * (s.cx.horizon - t) then true
-  else if
-    match s.memo with
-    | Some memo -> Memo.known_infeasible memo ~time:t ~hash:s.hash s.rem
-    | None -> false
-  then true
-  else
-    match s.nogood with
-    | Some ng when s.nogoods_on ->
-      Nogood.known_infeasible ng ~time:t ~total:s.total_rem s.rem
-    | _ -> false
+  (s.memo_on && s.total_rem > s.cx.m * (s.cx.horizon - t))
+  || (match s.memo with
+     | Some memo -> Memo.known_infeasible memo ~time:t ~hash:s.hash s.rem
+     | None -> false)
+  ||
+  match s.nogood with
+  | Some ng when s.nogoods_on -> Nogood.known_infeasible ng ~time:t ~total:s.total_rem s.rem
+  | _ -> false
 
 (* Availability in heuristic (= rank) order, straight off the packed
    eligibility word for the slot: blocked and out-of-window tasks never
-   enter the loop, and the free/urgent split lands in reused buffers. *)
-let classify s f t =
-  f.free_n <- 0;
-  f.urgent_n <- 0;
+   enter the loop, and the free/urgent split lands in reused buffers as
+   the available tasks' current jobs. *)
+let classify s t =
+  s.free_n <- 0;
+  s.urgent_n <- 0;
+  s.closing_n <- 0;
   if not s.cx.elig_built.(t) then build_elig s.cx t;
   let words = (s.cx.elig.(t) :> int array) in
   for w = 0 to Array.length words - 1 do
@@ -848,20 +872,101 @@ let classify s f t =
           | None -> remaining_slots s.cx ~task:i ~k ~t
           | Some _ -> s.cx.usable_after.(i).(t)
         in
-        assert (s.rem.(g) <= slots_left);
-        if s.rem.(g) = slots_left then begin
-          f.urgent.(f.urgent_n) <- i;
-          f.urgent_n <- f.urgent_n + 1
+        if not s.urgency then begin
+          (* No urgency forcing: every available task is a free choice,
+             and a job in its last usable slot must finish in it. *)
+          s.free.(s.free_n) <- g;
+          s.free_n <- s.free_n + 1;
+          if slots_left <= 1 then begin
+            s.closing.(s.closing_n) <- g;
+            s.closing_n <- s.closing_n + 1
+          end
         end
         else begin
-          f.free.(f.free_n) <- i;
-          f.free_n <- f.free_n + 1
+          assert (s.rem.(g) <= slots_left);
+          if s.rem.(g) = slots_left then begin
+            s.urgent.(s.urgent_n) <- g;
+            s.urgent_n <- s.urgent_n + 1
+          end
+          else begin
+            s.free.(s.free_n) <- g;
+            s.free_n <- s.free_n + 1
+          end
         end
       end
     done
   done
 
+(* Without urgency propagation the only failure signal is a window
+   closing unfinished: every job in its last usable slot must have been
+   completed by the applied subset. *)
+let closing_ok s =
+  let rec go j = j >= s.closing_n || (s.rem.(s.closing.(j)) = 0 && go (j + 1)) in
+  go 0
+
 type step = Applied | Exhausted | Stopped
+
+(* Apply the slot's subsets in order until one passes.  Without urgency a
+   subset can fail after it is applied (a window closed unfinished), so
+   one call may reject up to C(free, k) subsets: each counts as a node
+   and the budget is polled on every one — tested on each increment, so
+   the every-256th wall check cannot be skipped over, plus a per-node
+   atomic read of the stop flag for prompt cross-domain cancellation. *)
+let rec try_subsets s f ~k =
+  let next_ok =
+    if f.fresh then begin
+      for j = 0 to k - 1 do
+        f.combo.(j) <- j
+      done;
+      f.combo_k <- k;
+      f.fresh <- false;
+      true
+    end
+    else f.combo_k > 0 && Combi.next_k ~n:s.free_n ~k:f.combo_k f.combo
+  in
+  if not next_ok then begin
+    s.fails <- s.fails + 1;
+    (* Every subset of this state was tried and every subtree failed
+       through normal backtracking (a budget stop aborts the whole loop
+       before reaching here), so (t, rem) is proven infeasible: record
+       it.  [undo] restored rem/hash to the entry state.  Stores are
+       gated off while a worker merely *enumerates* a slot's children for
+       the work deque — exhausting a truncated sweep proves nothing about
+       the full subtree. *)
+    if s.memo_store then begin
+      (match s.memo with
+      | Some memo -> Memo.store memo ~time:f.time ~hash:s.hash s.rem
+      | None -> ());
+      (* The same exhaustion proof, generalized: record (t, rem) as a
+         dominance nogood — but only when the refuted subtree cost enough
+         nodes that scanning a chain for it can ever pay. *)
+      match s.nogood with
+      | Some ng when s.nogoods_on && s.nodes - f.entry_nodes >= Nogood.min_subtree ->
+        Nogood.store ng ~time:f.time ~total:s.total_rem s.rem
+      | _ -> ()
+    end;
+    Exhausted
+  end
+  else begin
+    for j = 0 to s.urgent_n - 1 do
+      apply_job s f s.urgent.(j)
+    done;
+    for j = 0 to f.combo_k - 1 do
+      apply_job s f s.free.(f.combo.(j))
+    done;
+    s.nodes <- s.nodes + 1;
+    if Timer.cancelled s.budget || (s.nodes land 255 = 0 && Timer.exceeded s.budget ~nodes:s.nodes)
+    then begin
+      undo s f;
+      Stopped
+    end
+    else if s.urgency || closing_ok s then Applied
+    else begin
+      s.fails <- s.fails + 1;
+      undo s f;
+      try_subsets s f ~k
+    end
+  end
 
 let advance s f =
   let t = f.time in
@@ -872,68 +977,15 @@ let advance s f =
     Exhausted
   end
   else begin
-    classify s f t;
-    let q = Int.min s.cx.m (f.urgent_n + f.free_n) in
-    if f.urgent_n > q then begin
+    classify s t;
+    let q = Int.min s.cx.m (s.urgent_n + s.free_n) in
+    if s.urgent_n > q then begin
       (* Urgency overload: no subset of this slot can work.  Cheap to
          rediscover (O(n), no search below), so not worth a memo entry. *)
       s.fails <- s.fails + 1;
       Exhausted
     end
-    else begin
-      let k = q - f.urgent_n in
-      let next_ok =
-        if f.fresh then begin
-          for j = 0 to k - 1 do
-            f.combo.(j) <- j
-          done;
-          f.combo_k <- k;
-          f.fresh <- false;
-          true
-        end
-        else f.combo_k > 0 && Combi.next_k ~n:f.free_n ~k:f.combo_k f.combo
-      in
-      if not next_ok then begin
-        s.fails <- s.fails + 1;
-        (* Every subset of this state was tried and every subtree failed
-           through normal backtracking (a budget stop aborts the whole
-           loop before reaching here), so (t, rem) is proven infeasible:
-           record it.  [undo] above restored rem/hash to the entry state.
-           Stores are gated off while a worker merely *enumerates* a
-           slot's children for the work deque — exhausting a truncated
-           sweep proves nothing about the full subtree. *)
-        if s.memo_store then begin
-          (match s.memo with
-          | Some memo -> Memo.store memo ~time:t ~hash:s.hash s.rem
-          | None -> ());
-          (* The same exhaustion proof, generalized: record (t, rem) as a
-             dominance nogood — but only when the refuted subtree cost
-             enough nodes that scanning a chain for it can ever pay. *)
-          match s.nogood with
-          | Some ng when s.nogoods_on && s.nodes - f.entry_nodes >= Nogood.min_subtree ->
-            Nogood.store ng ~time:t ~total:s.total_rem s.rem
-          | _ -> ()
-        end;
-        Exhausted
-      end
-      else begin
-        for j = 0 to f.urgent_n - 1 do
-          apply_task s f f.urgent.(j)
-        done;
-        for j = 0 to f.combo_k - 1 do
-          apply_task s f f.free.(f.combo.(j))
-        done;
-        s.nodes <- s.nodes + 1;
-        if
-          Timer.cancelled s.budget
-          || (s.nodes land 255 = 0 && Timer.exceeded s.budget ~nodes:s.nodes)
-        then begin
-          undo s f;
-          Stopped
-        end
-        else Applied
-      end
-    end
+    else try_subsets s f ~k:(q - s.urgent_n)
   end
 
 type run_result = R_feasible | R_exhausted | R_stopped
@@ -948,14 +1000,16 @@ type run_result = R_feasible | R_exhausted | R_stopped
 let search_loop s ~start ~stop_time ~on_frontier =
   assert (stop_time = s.cx.horizon || not s.memo_store);
   let depth = ref 1 in
-  reset_frame s.frames.(0) start ~nodes:s.nodes;
+  reset_frame (frame_at s 0) start ~nodes:s.nodes;
   let result = ref None in
   while !result = None do
     if !depth = 0 then result := Some R_exhausted
     else if
       (if s.nodes land 255 = 0 then begin
          Resilience.Failpoint.hit "csp2opt.node";
-         Telemetry.heartbeat ~name:"csp2-opt" ~nodes:s.nodes ~fails:s.fails ~depth:s.max_time;
+         Telemetry.heartbeat
+           ~name:(if s.memo_on then "csp2-opt" else "csp2")
+           ~nodes:s.nodes ~fails:s.fails ~depth:s.max_time;
          (* Memo hit-rate sample, an order of magnitude sparser than the
             heartbeat checkpoints so a fast search cannot flood the ring. *)
          match s.memo with
@@ -979,7 +1033,7 @@ let search_loop s ~start ~stop_time ~on_frontier =
           if stop_time = s.cx.horizon then result := Some R_feasible else on_frontier !depth
         end
         else begin
-          reset_frame s.frames.(!depth) (f.time + 1) ~nodes:s.nodes;
+          reset_frame (frame_at s !depth) (f.time + 1) ~nodes:s.nodes;
           incr depth
         end
     end
@@ -988,18 +1042,31 @@ let search_loop s ~start ~stop_time ~on_frontier =
 
 let no_frontier _ = assert false
 
-(* Symmetry rule (10): idle processors first, then tasks ascending. *)
-let place sched ~m ~time ids count =
-  let ids = Array.sub ids 0 count in
-  Array.sort Int.compare ids;
-  Array.iteri (fun pos i -> Schedule.set sched ~proc:(m - count + pos) ~time i) ids
+(* The task of global job [g]: each task's jobs are one contiguous run. *)
+let task_of_job cx g =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Jobmap.first_of_task cx.jm (mid + 1) <= g then go (mid + 1) hi else go lo mid
+  in
+  go 0 (cx.n - 1)
+
+(* Symmetry rule (10): idle processors first, then tasks ascending (job
+   ids ascend with task ids). *)
+let place cx sched ~time jobs count =
+  let jobs = Array.sub jobs 0 count in
+  Array.sort Int.compare jobs;
+  Array.iteri
+    (fun pos g -> Schedule.set sched ~proc:(cx.m - count + pos) ~time (task_of_job cx g))
+    jobs
 
 let build_schedule s ~prefix ~depth =
   let sched = Schedule.create ~m:s.cx.m ~horizon:s.cx.horizon in
-  Array.iteri (fun t ids -> place sched ~m:s.cx.m ~time:t ids (Array.length ids)) prefix;
+  Array.iteri (fun t jobs -> place s.cx sched ~time:t jobs (Array.length jobs)) prefix;
   for d = 0 to depth - 1 do
     let f = s.frames.(d) in
-    place sched ~m:s.cx.m ~time:f.time f.applied f.applied_n
+    place s.cx sched ~time:f.time f.applied f.applied_n
   done;
   sched
 
@@ -1143,10 +1210,14 @@ let run_sequential s =
   | R_stopped -> Encodings.Outcome.Limit
 
 let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?domains
-    ?(memo_mb = default_memo_mb) ?(nogoods = true) ts ~m =
+    ?(memo_mb = default_memo_mb) ?(nogoods = true) ?(urgency = true) ts ~m =
+  (* The memo and nogood soundness arguments (DESIGN §7b/§7c) rest on
+     the urgency invariant rem <= remaining window slots. *)
+  if (not urgency) && memo_mb > 0 then
+    invalid_arg "Csp2.Opt.solve: urgency:false requires memo_mb <= 0";
   let t0 = Timer.start () in
   let cx = make_ctx ~heuristic ?domains ts ~m in
-  let s = acquire cx ~budget ~memo_mb ~nogoods in
+  let s = acquire cx ~budget ~memo_mb ~nogoods ~urgency in
   Fun.protect ~finally:(fun () -> release s) @@ fun () ->
   let outcome = run_sequential s in
   (outcome, stats_of [ slice_of s ] ~t0)
@@ -1159,7 +1230,7 @@ type work_item = {
   w_rem : int array;
   w_hash : int;
   w_total : int;
-  w_prefix : int array array;  (* per slot 0 .. w_time-1: applied task ids *)
+  w_prefix : int array array;  (* per slot 0 .. w_time-1: applied job ids *)
 }
 
 let load_item s it =
@@ -1180,7 +1251,7 @@ let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?doma
     Intmath.clamp ~lo:0 ~hi:(cx.horizon - 1) d
   in
   let sequential () =
-    let s = acquire cx ~budget ~memo_mb ~nogoods in
+    let s = acquire cx ~budget ~memo_mb ~nogoods ~urgency:true in
     Fun.protect ~finally:(fun () -> release s) @@ fun () ->
     let outcome = run_sequential s in
     (outcome, stats_of [ slice_of s ] ~t0)
@@ -1192,8 +1263,9 @@ let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?doma
     sequential ()
   else begin
     let workers = jobs in
-    let per_worker_mb = Int.max 1 (memo_mb / workers) in
-    let s0 = acquire cx ~budget ~memo_mb:per_worker_mb ~nogoods in
+    (* A memo-off solve stays memo-off in every worker. *)
+    let per_worker_mb = if memo_mb <= 0 then 0 else Int.max 1 (memo_mb / workers) in
+    let s0 = acquire cx ~budget ~memo_mb:per_worker_mb ~nogoods ~urgency:true in
     Fun.protect ~finally:(fun () -> release s0) @@ fun () ->
     (* Phase 0b: a bounded sequential burst.  The Table I population is
        dominated by instances a warm engine decides in a few hundred
@@ -1249,12 +1321,14 @@ let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?doma
          while work is still outstanding. *)
       let pending = Atomic.make 1 in
       let deques = Array.init workers (fun _ -> Deque.create ()) in
+      let root = Array.make (Array.length s0.rem) 0 in
+      fill_rem cx root;
       Deque.push deques.(0)
         {
           w_time = 0;
-          w_rem = Array.copy cx.job_wcet;
-          w_hash = init_hash cx;
-          w_total = Array.fold_left ( + ) 0 cx.job_wcet;
+          w_rem = root;
+          w_hash = (match s0.memo with Some _ -> init_hash cx | None -> 0);
+          w_total = root_total cx;
           w_prefix = [||];
         };
       let limited = Array.make workers false in
@@ -1266,7 +1340,7 @@ let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?doma
       let worker wid =
         let s =
           if wid = 0 then s0
-          else acquire cx ~budget:worker_budget ~memo_mb:per_worker_mb ~nogoods
+          else acquire cx ~budget:worker_budget ~memo_mb:per_worker_mb ~nogoods ~urgency:true
         in
         let my = deques.(wid) in
         let rng = Prng.create ~seed:(0x51ED2701 + (wid * 7919)) in

@@ -1,14 +1,39 @@
-(** Optimized CSP2 dedicated search: bitsets + memoization + Domains.
+(** The dedicated CSP2 search (Section V of the paper), identical
+    platforms: the repository's one Section V engine.
 
-    Same problem, rules and verdict semantics as {!Solver} (no-idle,
-    symmetry rule (10), heuristic value ordering, urgency propagation —
-    always on here), re-engineered for throughput:
+    A deterministic chronological backtracking search over the
+    hyperperiod: time slots are decided in order (Section V-C1), and
+    within a slot the search branches over which tasks to run.  The
+    paper's search rules are built in:
 
-    - {b packed eligibility}: per-slot candidate sets live in {!Prelude.Ibits}
-      words (in-window and not statically blocked, in heuristic-rank space),
-      so classifying a slot walks set bits instead of all [n] tasks, and the
-      per-node hot path allocates nothing (reused frame buffers, one
-      max-sized combination cursor advanced with {!Prelude.Combi.next_k});
+    - {b no-idle rule}: a processor idles only when no available task
+      remains, so a slot schedules exactly [min(m, #available)] tasks (safe
+      by the swap argument: a later unit of an available task can always be
+      pulled into an idle slot);
+    - {b symmetry rule (10)}: tasks and processors are considered in
+      ascending order, so the [m!] permutations of one slot collapse into a
+      single canonical assignment — the search branches over {e subsets},
+      not vectors;
+    - {b value ordering}: subsets are enumerated so that tasks ranked better
+      by the chosen {!Heuristic} enter first (the first subset tried is the
+      greedy top-k);
+    - {b urgency propagation}: a task whose remaining demand equals its
+      remaining window slots must run now; slots where the urgent tasks
+      outnumber the processors fail immediately.  With this rule the
+      invariant [rem <= remaining window slots] holds along every branch,
+      so urgency overload is the {e only} failure condition.
+
+    Windows that wrap the hyperperiod boundary contribute their head slots
+    at the start of the sweep and their tail at the end; a wrapped job's
+    remaining-capacity accounting spans both parts (see {!Rt_model.Jobmap}).
+    The search is complete: [Infeasible] is a proof.  It is also fully
+    deterministic — the paper contrasts exactly this with Choco's
+    randomized runs (Section VII-B).
+
+    {b The memo-on configuration} ([memo_mb > 0], the default) adds three
+    pruning layers on top of those rules; [memo_mb <= 0] turns all three
+    off and runs the paper's rules exactly (a differential in [test/]
+    pins it node for node against the classic reference search):
 
     - {b state-dominance memoization}: a search state is fully described by
       [(t, rem)] — the slot to decide and the per-job remaining demand —
@@ -41,16 +66,26 @@
       vectors in a {!Prelude.Arena}, their chain heads in a
       {!Prelude.Epoch_dict}; the store shares the [memo_mb] budget with
       the memo and evicts its least-active half, deterministically,
-      when full.  [nogoods:false] turns learning off (ablation);
+      when full.  [nogoods:false] turns learning off (ablation).
+
+    In every configuration:
+
+    - {b packed eligibility}: per-slot candidate sets live in {!Prelude.Ibits}
+      words (in-window and not statically blocked, in heuristic-rank space),
+      so classifying a slot walks set bits instead of all [n] tasks, and the
+      per-node hot path allocates nothing (reused buffers, one max-sized
+      combination cursor per frame advanced with {!Prelude.Combi.next_k});
 
     - {b engine pooling and epoch reuse}: each domain caches one warm
-      engine (frames, rem and hash buffers, the memo table, the nogood
-      store) plus context scratch (eligibility bitsets, the
-      arena-backed Zobrist table); back-to-back solves rebind instead
-      of reallocating — tables are invalidated by O(1) epoch bumps —
-      and the parallel phase draws its worker domains from {!Pool}, so
-      a bench campaign of hundreds of millisecond-sized instances pays
-      for neither [Domain.spawn] nor table zeroing per instance;
+      engine (frames, the rem buffer, the memo table, the nogood store)
+      plus the eligibility bitsets; back-to-back solves rebind instead of
+      reallocating — tables are invalidated by O(1) epoch bumps, and a
+      memo-off solve keeps them for the next memo-on one — and the
+      parallel phase draws its worker domains from {!Pool}, so a bench
+      campaign of hundreds of millisecond-sized instances pays for
+      neither [Domain.spawn] nor table zeroing per instance.  The frame
+      stack grows as the search descends, so the per-solve setup is
+      linear in the job count with a small constant;
 
     - {b work-stealing parallel search} ({!solve_parallel}): after a
       cheap sequential probe (static tree-size estimate, then a bounded
@@ -62,15 +97,13 @@
       run dry, and deep-solves it otherwise; idle workers steal from
       random victims.  First [Feasible] wins and stops the race;
       [Infeasible] requires a pending-work counter to reach zero with no
-      worker budget-limited; anything cut short degrades to [Limit].
-
-    Verdict-equivalent to {!Solver} with [urgency:true] (property-tested in
-    [test/test_csp2.ml]); node counts are lower, not equal, because the
-    memo table and the capacity bound prune. *)
+      worker budget-limited; anything cut short degrades to [Limit]. *)
 
 type stats = {
   nodes : int;  (** Slot assignments tried (summed over workers). *)
-  fails : int;  (** Dead ends: overloads, capacity cuts, memo hits, exhaustions. *)
+  fails : int;
+      (** Dead ends: overloads, capacity cuts, memo hits, exhaustions, and
+          (urgency off) subsets rejected for a window closing unfinished. *)
   memo_hits : int;  (** Lookups that pruned a known-infeasible state. *)
   memo_misses : int;
   memo_stores : int;
@@ -114,15 +147,36 @@ val solve :
   ?domains:Analysis.Domains.t ->
   ?memo_mb:int ->
   ?nogoods:bool ->
+  ?urgency:bool ->
   Rt_model.Taskset.t ->
   m:int ->
   Encodings.Outcome.t * stats
-(** Sequential entry point.  [memo_mb <= 0] disables the transposition
-    table {e and} the nogood store (the capacity bound stays on); so do
-    per-job demands above 65535, where memo keys would no longer pack
-    into two bytes.  [nogoods] (default [true]) toggles dominance-nogood
+(** Sequential entry point.  Default heuristic is [DC], the paper's best.
+    [memo_mb <= 0] is the paper's rules exactly: no transposition table,
+    no nogood store and no capacity bound.  Per-job demands above 65535,
+    where memo keys would no longer pack into two bytes, and a cap too
+    small for the tables' minimum sizes drop the tables but keep the
+    capacity bound.  [nogoods] (default [true]) toggles dominance-nogood
     learning alone; the verdict never depends on it.
-    @raise Invalid_argument as {!Solver.solve}. *)
+
+    [urgency] (default [true]) controls the urgency propagation.
+    Disabling it keeps the search complete — a subset that leaves a
+    closing window unfinished is rejected in place and the next one
+    tried, each attempt counting as a node — but far weaker, which is the
+    regime where the paper's value-ordering comparison (CSP2 vs
+    +RM/+DM/+(T−C)/+(D−C)) becomes visible; the benchmark ablation uses
+    it for exactly that.
+
+    [domains] seeds the search with the static analyzer's facts: blocked
+    cells leave the candidate sets, and remaining-window counts become
+    blocked-aware, which turns statically forced cells into urgent ones.
+    Since the facts hold in every feasible schedule, completeness is
+    unaffected.  [Memout] is never returned.
+    @raise Invalid_argument on non-constrained-deadline task sets (apply
+    {!Rt_model.Clone} first), [m < 1], [domains] whose (n, m, hyperperiod)
+    fingerprint does not match the instance, or [urgency:false] with
+    [memo_mb > 0] (the memo and nogood soundness arguments assume
+    urgency). *)
 
 val solve_parallel :
   ?heuristic:Heuristic.t ->
@@ -138,7 +192,8 @@ val solve_parallel :
   Encodings.Outcome.t * stats
 (** Work-stealing parallel search across [jobs] domains (default
     {!Prelude.Parallel.recommended_jobs}, so [1] on a single-core box);
-    [memo_mb] is split evenly across workers.  [jobs <= 1] or
+    [memo_mb] is split evenly across workers ([memo_mb <= 0] stays off in
+    every worker).  Urgency propagation is always on.  [jobs <= 1] or
     [split_depth = 0] falls back to {!solve}'s sequential loop, and so
     does any instance the probe decides: a static tree-size estimate
     under [probe_nodes] skips parallel setup outright, otherwise a

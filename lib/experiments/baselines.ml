@@ -28,7 +28,7 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
   Array.iteri
     (fun idx (ts, m) ->
       (match
-         Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC
+         Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC
            ~budget:(Prelude.Timer.budget ~wall_s:config.Config.limit_s ())
            ts ~m
        with

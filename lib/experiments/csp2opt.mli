@@ -1,10 +1,13 @@
-(** CSP2OPT benchmark section: classic dedicated search vs {!Csp2.Opt}.
+(** CSP2OPT benchmark section: the engine's two configurations.
 
     Over a generated batch (Table I distribution, analyzer-decided
     instances skipped so only real search is measured), runs four
     configurations per instance under the configured per-run budget:
 
-    - the classic {!Csp2.Solver} (D−C heuristic);
+    - "classic": {!Csp2.Opt.solve} with [memo_mb:0] (D−C heuristic), the
+      paper's rules exactly — node for node the classic engine this
+      column measured before it was retired to the test suite's
+      reference, so the JSON keys keep their names;
     - {!Csp2.Opt.solve} — bitsets, transposition table, nogood
       learning, capacity bound;
     - the same with [nogoods:false] (the learning ablation);

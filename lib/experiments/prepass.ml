@@ -84,9 +84,9 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
           in
           (* The acceptance measurement: the complete CSP2 search with and
              without the analyzer's domains, same budget, same instance. *)
-          let bare, bare_st = Csp2.Solver.solve ~budget:(Config.budget config) ts ~m in
+          let bare, bare_st = Csp2.Opt.solve ~memo_mb:0 ~budget:(Config.budget config) ts ~m in
           let pruned, pruned_st =
-            Csp2.Solver.solve ~budget:(Config.budget config) ~domains:d ts ~m
+            Csp2.Opt.solve ~memo_mb:0 ~budget:(Config.budget config) ~domains:d ts ~m
           in
           let decided = function
             | Encodings.Outcome.Feasible _ | Encodings.Outcome.Infeasible -> true
@@ -96,8 +96,8 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
             if decided bare && decided pruned then
               {
                 t with
-                nodes_bare = t.nodes_bare + bare_st.Csp2.Solver.nodes;
-                nodes_pruned = t.nodes_pruned + pruned_st.Csp2.Solver.nodes;
+                nodes_bare = t.nodes_bare + bare_st.Csp2.Opt.nodes;
+                nodes_pruned = t.nodes_pruned + pruned_st.Csp2.Opt.nodes;
                 nodes_compared = t.nodes_compared + 1;
               }
             else t

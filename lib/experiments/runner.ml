@@ -12,11 +12,14 @@ let csp1 =
     run = (fun ts ~m ~budget ~seed -> fst (Encodings.Csp1.solve ~budget ~seed ts ~m));
   }
 
-let dedicated heuristic name =
+(* The paper's Section V search: the one engine with its memo-on layers
+   off. *)
+let dedicated ?urgency heuristic name =
   {
     name;
     run =
-      (fun ts ~m ~budget ~seed:_ -> fst (Csp2.Solver.solve ~heuristic ~budget ts ~m));
+      (fun ts ~m ~budget ~seed:_ ->
+        fst (Csp2.Opt.solve ?urgency ~memo_mb:0 ~heuristic ~budget ts ~m));
   }
 
 let csp2_variants =
@@ -30,13 +33,7 @@ let csp2_variants =
 
 let table1_solvers = csp1 :: csp2_variants
 
-let dedicated_weak heuristic name =
-  {
-    name;
-    run =
-      (fun ts ~m ~budget ~seed:_ ->
-        fst (Csp2.Solver.solve ~urgency:false ~heuristic ~budget ts ~m));
-  }
+let dedicated_weak = dedicated ~urgency:false
 
 let csp2_weak_variants =
   [

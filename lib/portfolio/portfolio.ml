@@ -14,8 +14,8 @@ let spec_name = function
 
 (* Complementarity first: the memoized search under the paper's best
    heuristic, then the heuristics that win on other instances, then the two
-   different solver families; the classic (memo-free) D−C engine rides at
-   the tail as a cross-check arm.  With [jobs] below the list length the
+   different solver families; the memo-free D−C search rides at the tail
+   as a cross-check arm.  With [jobs] below the list length the
    prefix runs first and the tail backfills as arms finish or lose. *)
 let default_specs =
   [
@@ -53,17 +53,17 @@ type result = {
 
 (* The unified {!Telemetry.Stats} view of each backend's native stats:
    SAT decisions/conflicts and local-search iterations/restarts play the
-   roles of nodes/fails.  [memo_mb] only reaches the optimized engine —
-   the degradation retry runs it with a reduced table. *)
+   roles of nodes/fails.  [memo_mb] only reaches the memo-on arms — the
+   degradation retry runs them with a reduced table.  Both CSP2 arms run
+   the sequential engine on purpose: each arm owns one domain already, so
+   subtree splitting inside an arm would oversubscribe the race. *)
 let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
   let backend = spec_name spec in
   match spec with
   | Csp2 heuristic ->
-    let outcome, st = Csp2.Solver.solve ~heuristic ~budget ?domains ts ~m in
-    (outcome, Csp2.Solver.to_stats ~backend st)
+    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ?domains ts ~m in
+    (outcome, Csp2.Opt.to_stats ~backend st)
   | Csp2_opt heuristic ->
-    (* Sequential engine on purpose: each arm owns one domain already, so
-       subtree splitting inside an arm would oversubscribe the race. *)
     let outcome, st = Csp2.Opt.solve ~heuristic ~budget ?memo_mb ?domains ts ~m in
     (outcome, Csp2.Opt.to_stats ~backend st)
   | Csp1_sat ->

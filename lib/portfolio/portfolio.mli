@@ -39,11 +39,13 @@
 
 type spec =
   | Csp2 of Csp2.Heuristic.t
-      (** The dedicated chronological search (identical platforms,
-          urgency propagation on) under the given value ordering. *)
+      (** The paper's dedicated chronological search (identical
+          platforms, urgency propagation on) under the given value
+          ordering: {!Csp2.Opt.solve} with [memo_mb:0], so no memo, no
+          nogoods and no capacity bound. *)
   | Csp2_opt of Csp2.Heuristic.t
-      (** {!Csp2.Opt}: the same search with packed eligibility bitsets,
-          the transposition table and the capacity bound — run
+      (** The same engine in its memo-on configuration: transposition
+          table, nogood store and capacity bound.  Both CSP2 arms run
           sequentially (one arm = one domain; subtree splitting inside an
           arm would oversubscribe the race). *)
   | Csp1_sat  (** CSP1 compiled to CNF for the in-house CDCL solver. *)
@@ -57,8 +59,8 @@ val analysis_arm_name : string
 val default_specs : spec list
 (** [csp2-opt+D-C, csp2+RM, csp1-sat, local-search, csp2+DM, csp2+T-C,
     csp2+D-C] — most complementary strategies first, so truncating to the
-    first [jobs] arms keeps the strongest mix; the classic (memo-free) D−C
-    engine rides at the tail as a cross-check arm. *)
+    first [jobs] arms keeps the strongest mix; the memo-free D−C search
+    rides at the tail as a cross-check arm. *)
 
 type arm_status =
   | Ran  (** Completed normally (its [outcome] says how). *)

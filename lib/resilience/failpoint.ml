@@ -13,7 +13,6 @@ let catalogue =
   [
     "portfolio.arm_start";
     "portfolio.analysis";
-    "csp2.node";
     "csp2opt.node";
     "csp2opt.memo_grow";
     "csp2opt.steal";

@@ -41,8 +41,8 @@ type trigger =
 
 val catalogue : string list
 (** Every site compiled into the fleet, one per instrumented checkpoint:
-    [portfolio.arm_start], [portfolio.analysis], [csp2.node],
-    [csp2opt.node], [csp2opt.memo_grow], [sat.propagate],
+    [portfolio.arm_start], [portfolio.analysis], [csp2opt.node],
+    [csp2opt.memo_grow], [csp2opt.steal], [sat.propagate],
     [localsearch.restart], [localsearch.iter], [serve.request]. *)
 
 val hit : string -> unit

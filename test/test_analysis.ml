@@ -119,7 +119,7 @@ let test_pruned_domains () =
     Alcotest.(check bool) "τ3 blocked at 0" true (A.Domains.is_blocked d ~task:2 ~time:0);
     (* The instance is feasible; the unique (up to processor symmetry)
        schedule must respect the derived domains. *)
-    (match Csp2.Solver.solve ts ~m:2 with
+    (match Csp2.Opt.solve ~memo_mb:0 ts ~m:2 with
     | O.Feasible sched, _ ->
       Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched);
       Alcotest.(check bool) "respects domains" true (A.Domains.respects d sched)
@@ -344,7 +344,7 @@ let test_fresh_corpus_complete () =
 
 let solve_exact ts ~m =
   let budget = Prelude.Timer.budget ~wall_s:10.0 () in
-  fst (Csp2.Solver.solve ~budget ts ~m)
+  fst (Csp2.Opt.solve ~memo_mb:0 ~budget ts ~m)
 
 (* Every Infeasible verdict carries a valid certificate and never
    contradicts the complete solver. *)
@@ -383,8 +383,8 @@ let csp2_nodes_monotone (ts, m) =
   match (analyze ts ~m).A.verdict with
   | A.Pruned d ->
     let budget () = Prelude.Timer.budget ~nodes:200_000 () in
-    let bare, bare_stats = Csp2.Solver.solve ~budget:(budget ()) ts ~m in
-    let pruned, pruned_stats = Csp2.Solver.solve ~budget:(budget ()) ~domains:d ts ~m in
+    let bare, bare_stats = Csp2.Opt.solve ~memo_mb:0 ~budget:(budget ()) ts ~m in
+    let pruned, pruned_stats = Csp2.Opt.solve ~memo_mb:0 ~budget:(budget ()) ~domains:d ts ~m in
     let same_verdict =
       match (bare, pruned) with
       | O.Feasible _, O.Feasible _
@@ -392,7 +392,7 @@ let csp2_nodes_monotone (ts, m) =
       | O.Limit, _ | _, O.Limit -> true
       | _ -> false
     in
-    same_verdict && pruned_stats.Csp2.Solver.nodes <= bare_stats.Csp2.Solver.nodes
+    same_verdict && pruned_stats.Csp2.Opt.nodes <= bare_stats.Csp2.Opt.nodes
   | A.Infeasible _ -> true
 
 let prop_csp2_nodes_monotone =

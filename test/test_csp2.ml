@@ -1,6 +1,8 @@
 (* Tests for the dedicated CSP2 solvers (identical and heterogeneous):
    agreement with the generic encodings, heuristic behaviour, determinism,
-   wrap-around handling, and the heterogeneous idle-necessity regression. *)
+   wrap-around handling, node-for-node parity of the memo-off engine with
+   the classic reference, and the heterogeneous idle-necessity
+   regression. *)
 
 open Rt_model
 module O = Encodings.Outcome
@@ -11,6 +13,11 @@ let qtest = Test_util.qtest
 let running = Examples.running_example
 let budget () = Prelude.Timer.budget ~wall_s:5.0 ()
 let decided = function O.Feasible _ | O.Infeasible -> true | O.Limit | O.Memout _ -> false
+
+(* The paper's Section V search: the one engine with its memo-on layers
+   (memo, nogoods, capacity bound) off. *)
+let paper ?heuristic ?budget ?urgency ?domains ts ~m =
+  Csp2.Opt.solve ~memo_mb:0 ?heuristic ?budget ?urgency ?domains ts ~m
 
 (* ------------------------------------------------------------------ *)
 (* Heuristic module                                                     *)
@@ -48,7 +55,7 @@ let test_heuristic_strings () =
 let test_running_example_all_heuristics () =
   List.iter
     (fun h ->
-      match Csp2.Solver.solve ~heuristic:h running ~m:2 with
+      match paper ~heuristic:h running ~m:2 with
       | O.Feasible sched, _ ->
         Alcotest.(check bool)
           (Printf.sprintf "verified (%s)" (Csp2.Heuristic.to_string h))
@@ -57,14 +64,14 @@ let test_running_example_all_heuristics () =
     Csp2.Heuristic.all
 
 let test_infeasible_proof () =
-  match Csp2.Solver.solve running ~m:1 with
+  match paper running ~m:1 with
   | O.Infeasible, _ -> ()
   | (O.Feasible _ | O.Limit | O.Memout _), _ -> Alcotest.fail "m=1 is infeasible (r > 1)"
 
 let test_deterministic () =
   let run () =
-    match Csp2.Solver.solve running ~m:2 with
-    | O.Feasible sched, stats -> (sched, stats.Csp2.Solver.nodes)
+    match paper running ~m:2 with
+    | O.Feasible sched, stats -> (sched, stats.Csp2.Opt.nodes)
     | _ -> Alcotest.fail "feasible"
   in
   let s1, n1 = run () and s2, n2 = run () in
@@ -78,7 +85,7 @@ let test_budget_limit () =
   let limited = ref false in
   Array.iter
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~nodes:50 ()) ts ~m with
+      match paper ~budget:(Prelude.Timer.budget ~nodes:50 ()) ts ~m with
       | O.Limit, _ -> limited := true
       | (O.Feasible _ | O.Infeasible | O.Memout _), _ -> ())
     instances;
@@ -89,13 +96,13 @@ let test_wall_budget_respected () =
      C(n_free, k) candidate subsets between two outer-loop polls, so a
      masked nodes-mod-256 check there let a 50 ms wall budget overshoot by
      orders of magnitude (minutes on this very instance).  The budget is
-     now polled on every node, inside [attempt]. *)
+     now polled on every node, inside the subset loop. *)
   let params = Gen.Generator.default ~n:12 ~m:(Gen.Generator.Fixed_m 4) ~tmax:7 in
   let ts, m = (Gen.Generator.batch ~seed:2 ~count:1 params).(0) in
   let wall = 0.05 in
   let t0 = Prelude.Timer.start () in
   let outcome, _ =
-    Csp2.Solver.solve ~urgency:false ~budget:(Prelude.Timer.budget ~wall_s:wall ()) ts ~m
+    paper ~urgency:false ~budget:(Prelude.Timer.budget ~wall_s:wall ()) ts ~m
   in
   let elapsed = Prelude.Timer.elapsed t0 in
   (match outcome with
@@ -108,7 +115,7 @@ let test_wall_budget_respected () =
     (elapsed <= 2. *. wall)
 
 let test_edf_trap_feasible () =
-  match Csp2.Solver.solve Examples.edf_trap ~m:Examples.edf_trap_m with
+  match paper Examples.edf_trap ~m:Examples.edf_trap_m with
   | O.Feasible sched, _ ->
     Alcotest.(check bool) "verified" true (Verify.is_feasible Examples.edf_trap sched)
   | (O.Infeasible | O.Limit | O.Memout _), _ -> Alcotest.fail "the trap is feasible"
@@ -117,7 +124,7 @@ let test_wrapped_window_instance () =
   (* Offsets force a wrapped window; solver must handle the head/tail
      split.  τ: O=2, C=2, D=3, T=3 over hyperperiod 3: window {2,0,1}. *)
   let ts = Taskset.of_tuples [ (2, 2, 3, 3); (0, 1, 3, 3) ] in
-  match Csp2.Solver.solve ts ~m:1 with
+  match paper ts ~m:1 with
   | O.Feasible sched, _ -> Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched)
   | (O.Infeasible | O.Limit | O.Memout _), _ -> Alcotest.fail "feasible via wrap"
 
@@ -132,7 +139,7 @@ let prop_agrees_with_csp1 =
       decided reference
       && List.for_all
            (fun h ->
-             match Csp2.Solver.solve ~heuristic:h ~budget:(budget ()) ts ~m with
+             match paper ~heuristic:h ~budget:(budget ()) ts ~m with
              | O.Feasible sched, _ ->
                Verify.is_feasible ts sched && O.is_feasible reference
              | O.Infeasible, _ -> not (O.is_feasible reference)
@@ -143,17 +150,17 @@ let prop_stats_sane =
   qtest ~count:60 "solver stats are consistent"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      let _, stats = Csp2.Solver.solve ts ~m in
-      stats.Csp2.Solver.nodes >= 0
-      && stats.Csp2.Solver.fails >= 0
-      && stats.Csp2.Solver.max_time_reached <= Taskset.hyperperiod ts)
+      let _, stats = paper ts ~m in
+      stats.Csp2.Opt.nodes >= 0
+      && stats.Csp2.Opt.fails >= 0
+      && stats.Csp2.Opt.max_time_reached <= Taskset.hyperperiod ts)
 
 let prop_no_urgency_agrees =
   qtest ~count:60 "urgency propagation off: still sound and complete"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      let strong, _ = Csp2.Solver.solve ~budget:(budget ()) ts ~m in
-      let weak, _ = Csp2.Solver.solve ~urgency:false ~budget:(budget ()) ts ~m in
+      let strong, _ = paper ~budget:(budget ()) ts ~m in
+      let weak, _ = paper ~urgency:false ~budget:(budget ()) ts ~m in
       decided strong && decided weak
       && O.is_feasible strong = O.is_feasible weak
       && (match weak with O.Feasible s -> Verify.is_feasible ts s | _ -> true))
@@ -162,10 +169,10 @@ let test_no_urgency_weaker () =
   (* Same instance, same verdict, but the weak search visits at least as
      many nodes as the propagating one. *)
   let ts = Examples.running_example in
-  let _, strong = Csp2.Solver.solve ts ~m:2 in
-  let _, weak = Csp2.Solver.solve ~urgency:false ts ~m:2 in
+  let _, strong = paper ts ~m:2 in
+  let _, weak = paper ~urgency:false ts ~m:2 in
   Alcotest.(check bool) "weak explores no fewer nodes" true
-    (weak.Csp2.Solver.nodes >= strong.Csp2.Solver.nodes)
+    (weak.Csp2.Opt.nodes >= strong.Csp2.Opt.nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Optimized engine (bitsets + memo + parallel subtree splitting)       *)
@@ -182,14 +189,14 @@ let test_opt_running_example_all_heuristics () =
     Csp2.Heuristic.all
 
 let prop_opt_matches_classic =
-  (* The tentpole's soundness gate: the memoized bitset engine and the
-     classic search must return the same verdict on every instance, and
+  (* The soundness gate of the memo-on configuration: it and the classic
+     reference search must return the same verdict on every instance, and
      every schedule it produces must verify.  Node counts may differ (the
      memo and the capacity bound prune), verdicts may not. *)
   qtest ~count:120 "opt = classic verdicts on random instances"
     (Test_util.instance_gen ~nmax:5 ~tmax:5 ())
     (fun (ts, m) ->
-      let classic, _ = Csp2.Solver.solve ~budget:(budget ()) ts ~m in
+      let classic, _ = Csp2_ref.solve ~budget:(budget ()) ts ~m in
       let opt, _ = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
       decided classic && decided opt
       && O.is_feasible classic = O.is_feasible opt
@@ -225,12 +232,12 @@ let prop_opt_domains_preserve_verdict =
 
 let prop_opt_nogood_ablation_matches =
   (* Nogood learning is a pruning accelerator, never a decision change:
-     learning on, learning off and the classic engine agree on every
+     learning on, learning off and the classic reference agree on every
      instance, sequentially and through the work-stealing phase. *)
   qtest ~count:60 "nogoods on = off = classic (seq and jobs=2)"
     (Test_util.instance_gen ~nmax:5 ~tmax:5 ())
     (fun (ts, m) ->
-      let classic, _ = Csp2.Solver.solve ~budget:(budget ()) ts ~m in
+      let classic, _ = Csp2_ref.solve ~budget:(budget ()) ts ~m in
       let on_, _ = Csp2.Opt.solve ~nogoods:true ~budget:(budget ()) ts ~m in
       let off, _ = Csp2.Opt.solve ~nogoods:false ~budget:(budget ()) ts ~m in
       let par_on, _ =
@@ -249,17 +256,18 @@ let prop_opt_nogood_ablation_matches =
       && (match on_ with O.Feasible s -> Verify.is_feasible ts s | _ -> true))
 
 let test_opt_nogood_budget_evicts () =
-  (* One combined --memo-mb budget covers both tables: at 1 MiB the
+  (* One combined --memo-mb budget covers both tables: at 3 MiB the
      nogood store's slice is a few dozen entries on Table-I-sized
-     instances, so a backtrack-heavy batch must recycle entries
-     (activity-based eviction), never grow without bound — and the
-     squeezed store must not change any verdict. *)
+     instances (at 1 MiB it holds fewer than its 32-entry minimum, so
+     no store is built), so a backtrack-heavy batch must recycle
+     entries (activity-based eviction), never grow without bound — and
+     the squeezed store must not change any verdict. *)
   let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
   let instances = Gen.Generator.batch ~seed:11 ~count:25 params in
   let evicted = ref 0 and stores = ref 0 in
   Array.iter
     (fun (ts, m) ->
-      let tiny, st = Csp2.Opt.solve ~memo_mb:1 ~budget:(budget ()) ts ~m in
+      let tiny, st = Csp2.Opt.solve ~memo_mb:3 ~budget:(budget ()) ts ~m in
       let roomy, _ = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
       evicted := !evicted + st.Csp2.Opt.nogood_evicted;
       stores := !stores + st.Csp2.Opt.nogood_stores;
@@ -271,7 +279,7 @@ let test_opt_nogood_budget_evicts () =
     true (!evicted > 0)
 
 let test_opt_deterministic () =
-  (* Fixed Zobrist seed + deterministic search: equal runs, equal counters. *)
+  (* Fixed Zobrist mixer + deterministic search: equal runs, equal counters. *)
   let run () =
     match Csp2.Opt.solve running ~m:2 with
     | O.Feasible sched, stats -> (sched, stats)
@@ -286,33 +294,53 @@ let test_opt_deterministic () =
 let test_opt_memo_prunes () =
   (* On a backtrack-heavy batch (the Table I regime) the memo must
      actually fire, and turning it off ([memo_mb <= 0]) must not change
-     any verdict. *)
+     any verdict.  Memo off is the paper's search, without the capacity
+     bound either: under a 250 000-node budget it decides 19 of these 25
+     and stops at [Limit] on the other 6 (five with U > m, which the
+     bound refutes at the root).  Equal verdicts where both decide; where
+     memo off stops, the memo-on verdict must be the infeasibility that
+     the static analyzer independently certifies. *)
   let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
   let instances = Gen.Generator.batch ~seed:11 ~count:25 params in
-  let hits = ref 0 in
+  let hits = ref 0 and both_decided = ref 0 in
   Array.iter
     (fun (ts, m) ->
       let with_memo, st = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
-      let without, _ = Csp2.Opt.solve ~memo_mb:0 ~budget:(budget ()) ts ~m in
+      let without, _ =
+        Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~nodes:250_000 ()) ts ~m
+      in
       hits := !hits + st.Csp2.Opt.memo_hits;
-      Alcotest.(check bool) "memo on/off verdicts equal" true
-        (decided with_memo && decided without
-        && O.is_feasible with_memo = O.is_feasible without))
+      Alcotest.(check bool) "memo on decides" true (decided with_memo);
+      if decided without then begin
+        incr both_decided;
+        Alcotest.(check bool) "memo on/off verdicts equal" true
+          (O.is_feasible with_memo = O.is_feasible without)
+      end
+      else begin
+        Alcotest.(check bool) "memo on refutes where memo off stops" true
+          (with_memo = O.Infeasible);
+        match (Analysis.analyze ts ~m).Analysis.verdict with
+        | Analysis.Infeasible cert ->
+          Alcotest.(check bool) "analyzer certificate validates" true
+            (Analysis.Certificate.validate ts (Platform.identical ~m) cert)
+        | Analysis.Pruned _ -> Alcotest.fail "analyzer should refute"
+      end)
     instances;
+  check Alcotest.int "memo-off runs decided at 250 000 nodes" 19 !both_decided;
   Alcotest.(check bool) "memo pruned at least once across the batch" true (!hits > 0)
 
 let test_opt_node_reduction () =
-  (* The perf claim in miniature: across a searched batch the optimized
-     engine explores fewer nodes than the classic one at equal verdicts. *)
+  (* The memo-on layers in miniature: across a searched batch they
+     explore fewer nodes than the classic reference at equal verdicts. *)
   let params = Gen.Generator.default ~n:8 ~m:(Gen.Generator.Fixed_m 3) ~tmax:6 in
   let instances = Gen.Generator.batch ~seed:11 ~count:25 params in
   let classic_nodes = ref 0 and opt_nodes = ref 0 in
   Array.iter
     (fun (ts, m) ->
-      let c, cst = Csp2.Solver.solve ~budget:(budget ()) ts ~m in
+      let c, cst = Csp2_ref.solve ~budget:(budget ()) ts ~m in
       let o, ost = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
       if decided c && decided o then begin
-        classic_nodes := !classic_nodes + cst.Csp2.Solver.nodes;
+        classic_nodes := !classic_nodes + cst.Csp2_ref.nodes;
         opt_nodes := !opt_nodes + ost.Csp2.Opt.nodes
       end)
     instances;
@@ -366,29 +394,23 @@ let test_opt_wrapped_windows () =
   | (O.Infeasible | O.Limit | O.Memout _), _ -> Alcotest.fail "feasible via wrap (parallel)"
 
 let test_frame_reuse_regression () =
-  (* Guards the frame-stack rework in both engines: [Array.make] would
-     seed every depth with the *same* frame record (one shared applied
-     set corrupts [undo] on deep backtracking).  The EDF trap backtracks
-     across slots; verdict and witness must survive two runs intact. *)
+  (* Guards the frame stack, which grows as the search descends and is
+     reused by the next solve: [Array.make] would seed every depth with
+     the *same* frame record (one shared applied set corrupts [undo] on
+     deep backtracking).  The EDF trap backtracks across slots; verdict
+     and witness must survive two runs intact, memo on and off. *)
   List.iter
-    (fun solve ->
+    (fun memo_mb ->
+      let solve () =
+        match Csp2.Opt.solve ~memo_mb Examples.edf_trap ~m:Examples.edf_trap_m with
+        | O.Feasible s, _ ->
+          Alcotest.(check bool) "verified" true (Verify.is_feasible Examples.edf_trap s);
+          s
+        | _ -> Alcotest.fail "edf trap is feasible"
+      in
       let a = solve () and b = solve () in
       Alcotest.(check bool) "deterministic across reuse" true (Schedule.equal a b))
-    [
-      (fun () ->
-        match Csp2.Solver.solve Examples.edf_trap ~m:Examples.edf_trap_m with
-        | O.Feasible s, _ ->
-          Alcotest.(check bool) "classic verified" true
-            (Verify.is_feasible Examples.edf_trap s);
-          s
-        | _ -> Alcotest.fail "edf trap is feasible");
-      (fun () ->
-        match Csp2.Opt.solve Examples.edf_trap ~m:Examples.edf_trap_m with
-        | O.Feasible s, _ ->
-          Alcotest.(check bool) "opt verified" true (Verify.is_feasible Examples.edf_trap s);
-          s
-        | _ -> Alcotest.fail "edf trap is feasible");
-    ]
+    [ 0; Csp2.Opt.default_memo_mb ]
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing parallel phase, engine pooling                         *)
@@ -567,7 +589,7 @@ let test_het_identical_platform_agrees () =
      fast path. *)
   let platform = Platform.identical ~m:2 in
   let a, _ = Csp2.Het.solve ~platform running in
-  let b, _ = Csp2.Solver.solve running ~m:2 in
+  let b, _ = paper running ~m:2 in
   Alcotest.(check bool) "same verdict" true (O.is_feasible a = O.is_feasible b)
 
 let prop_het_agrees_with_generic =
@@ -584,6 +606,169 @@ let prop_het_agrees_with_generic =
       decided a && decided b
       && O.is_feasible a = O.is_feasible b
       && match a with O.Feasible s -> Verify.is_feasible ~platform ts s | _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* One engine: memo off is the classic search, node for node            *)
+
+(* Everything a run reports that the reference also reports: verdict
+   (with its schedule), nodes, fails and the deepest slot. *)
+let of_opt (o, (st : Csp2.Opt.stats)) =
+  (o, st.Csp2.Opt.nodes, st.Csp2.Opt.fails, st.Csp2.Opt.max_time_reached)
+
+let of_ref (o, (st : Csp2_ref.stats)) =
+  (o, st.Csp2_ref.nodes, st.Csp2_ref.fails, st.Csp2_ref.max_time_reached)
+
+let same_run (o, nodes, fails, depth) (o', nodes', fails', depth') =
+  nodes = nodes' && fails = fails' && depth = depth'
+  &&
+  match (o, o') with
+  | O.Feasible a, O.Feasible b -> Schedule.equal a b
+  | O.Infeasible, O.Infeasible | O.Limit, O.Limit -> true
+  | _ -> false
+
+let describe (o, nodes, fails, depth) =
+  Printf.sprintf "%s/%d nodes/%d fails/depth %d" (O.to_string o) nodes fails depth
+
+(* Run both engines on every (instance, heuristic) pair under a node
+   budget and report each disagreement. *)
+let parity_failures ?(urgency = true) ~nodes instances =
+  let failures = ref [] in
+  List.iteri
+    (fun idx (ts, m, domains) ->
+      List.iter
+        (fun heuristic ->
+          let budget () = Prelude.Timer.budget ~nodes () in
+          let ours = of_opt (paper ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m) in
+          let theirs =
+            of_ref (Csp2_ref.solve ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m)
+          in
+          if not (same_run ours theirs) then
+            failures :=
+              Printf.sprintf "#%d %s: opt %s, reference %s" idx
+                (Csp2.Heuristic.to_string heuristic)
+                (describe ours) (describe theirs)
+              :: !failures)
+        Csp2.Heuristic.all)
+    instances;
+  List.rev !failures
+
+let check_parity ?urgency ~nodes ~expect instances =
+  check Alcotest.int "instances" expect (List.length instances);
+  Alcotest.(check (list string)) "disagreements" [] (parity_failures ?urgency ~nodes instances)
+
+let pruned_domains ts ~m =
+  match (Analysis.analyze ts ~m).Analysis.verdict with
+  | Analysis.Pruned d -> Some d
+  | Analysis.Infeasible _ -> None
+
+let prop_memo_off_is_reference =
+  let gen =
+    let open QCheck2.Gen in
+    Test_util.instance_gen ~nmax:5 ~tmax:6 () >>= fun inst ->
+    oneofl Csp2.Heuristic.all >>= fun h ->
+    bool >>= fun urgency ->
+    bool >>= fun with_domains -> return (inst, h, urgency, with_domains)
+  in
+  qtest ~count:300 "memo off = classic reference: verdict, schedule, nodes" gen
+    (fun ((ts, m), heuristic, urgency, with_domains) ->
+      let domains = if with_domains then pruned_domains ts ~m else None in
+      let budget () = Prelude.Timer.budget ~nodes:5_000 () in
+      same_run
+        (of_opt (paper ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m))
+        (of_ref (Csp2_ref.solve ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m)))
+
+(* The Table I stream (seed 1, n = 10, m = 5, Tmax = 7) past the
+   utilization test, and the share of it the analyzer leaves pruned. *)
+let table1_stream =
+  lazy
+    (Gen.Generator.batch ~seed:1 ~count:500
+       (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)
+    |> Array.to_list
+    |> List.filter (fun (ts, m) -> not (Analysis.utilization_exceeds ts ~m)))
+
+let test_parity_table1 () =
+  check_parity ~nodes:20_000 ~expect:322
+    (List.map (fun (ts, m) -> (ts, m, None)) (Lazy.force table1_stream))
+
+let test_parity_table1_domains () =
+  check_parity ~nodes:20_000 ~expect:298
+    (List.filter_map
+       (fun (ts, m) -> Option.map (fun d -> (ts, m, Some d)) (pruned_domains ts ~m))
+       (Lazy.force table1_stream))
+
+let test_parity_table1_weak () =
+  check_parity ~urgency:false ~nodes:5_000 ~expect:322
+    (List.map (fun (ts, m) -> (ts, m, None)) (Lazy.force table1_stream))
+
+(* The benchmark corpora past the front door, analyzer-pruned, with
+   their domains: what a serve miss hands the search. *)
+let test_parity_corpus w ~expect () =
+  let module W = Mgrts_bench.Workload in
+  check_parity ~nodes:W.nodes ~expect
+    (List.filter_map
+       (fun (item : W.item) ->
+         let ts = item.W.inst.W.ts and m = item.W.inst.W.m in
+         if Analysis.utilization_exceeds ts ~m then None
+         else Option.map (fun d -> (ts, m, Some d)) (pruned_domains ts ~m))
+       (Array.to_list (W.corpus w)))
+
+let test_urgency_off_needs_memo_off () =
+  Alcotest.check_raises "urgency:false with the memo on"
+    (Invalid_argument "Csp2.Opt.solve: urgency:false requires memo_mb <= 0") (fun () ->
+      ignore (Csp2.Opt.solve ~urgency:false running ~m:2))
+
+(* Table IV's n = 32 row, instance 0: m = 14, H = 120 120, 413 475 jobs. *)
+let table4_instance =
+  lazy
+    (Gen.Generator.batch ~seed:32001 ~count:1
+       (Gen.Generator.default ~n:32 ~m:Gen.Generator.Min_processors ~tmax:15)).(0)
+
+let zero_node_words ?memo_mb ts ~m =
+  Csp2.Opt.reset_caches ();
+  Test_util.allocated_words (fun () ->
+      Csp2.Opt.solve ?memo_mb ~budget:(Prelude.Timer.budget ~nodes:0 ()) ts ~m)
+
+let test_setup_scales_with_jobs () =
+  (* A cold solve's setup, before the first node, must grow with the job
+     count at a small constant: Table IV instances carry millions of jobs
+     against a 0.1 s budget.  (The classic reference allocates 4.4 words
+     per job here.) *)
+  let ts, m = Lazy.force table4_instance in
+  let jobs = Jobmap.job_count (Jobmap.create ts) in
+  check Alcotest.int "pinned instance: m" 14 m;
+  check Alcotest.int "pinned instance: jobs" 413_475 jobs;
+  let words = zero_node_words ~memo_mb:0 ts ~m in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per job <= 8" (words /. float_of_int jobs))
+    true
+    (words <= 8. *. float_of_int jobs)
+
+let test_memo_respects_cap () =
+  (* The tables' minimum sizes must not break [memo_mb]: on this
+     instance one memo key is 413 475 bytes, and the nogood store's old
+     32-entry floor alone took 32 x 413 475 words. *)
+  let ts, m = Lazy.force table4_instance in
+  let off = zero_node_words ~memo_mb:0 ts ~m in
+  let on = zero_node_words ts ~m in
+  let extra_mib = (on -. off) *. float_of_int (Sys.word_size / 8) /. 1048576. in
+  Alcotest.(check bool)
+    (Printf.sprintf "memo on allocates %.1f MiB more <= %d" extra_mib
+       Csp2.Opt.default_memo_mb)
+    true
+    (extra_mib <= float_of_int Csp2.Opt.default_memo_mb)
+
+let test_parallel_memo_off () =
+  (* [memo_mb:0] means the paper's rules in every worker, probe included:
+     no worker may fall back to a minimum share of the table budget. *)
+  let ts, m = List.nth (Lazy.force table1_stream) 3 in
+  let _, st =
+    Csp2.Opt.solve_parallel ~memo_mb:0 ~jobs:2 ~probe_nodes:0
+      ~budget:(Prelude.Timer.budget ~nodes:5_000 ())
+      ts ~m
+  in
+  check Alcotest.int "memo lookups" 0 (st.Csp2.Opt.memo_hits + st.Csp2.Opt.memo_misses);
+  check Alcotest.int "nogood lookups" 0 (st.Csp2.Opt.nogood_hits + st.Csp2.Opt.nogood_misses);
+  check Alcotest.int "stores" 0 (st.Csp2.Opt.memo_stores + st.Csp2.Opt.nogood_stores)
 
 let () =
   Alcotest.run "csp2"
@@ -636,6 +821,23 @@ let () =
           Alcotest.test_case "pool reuses domains" `Quick test_pool_reuses_domains;
           Alcotest.test_case "cancel mid-race" `Quick test_opt_parallel_cancel_mid_race;
           Alcotest.test_case "steal failpoint contained" `Quick test_opt_steal_failpoint;
+        ] );
+      ( "one engine",
+        [
+          prop_memo_off_is_reference;
+          Alcotest.test_case "Table I stream" `Quick test_parity_table1;
+          Alcotest.test_case "Table I stream, pruned domains" `Quick test_parity_table1_domains;
+          Alcotest.test_case "Table I stream, urgency off" `Quick test_parity_table1_weak;
+          Alcotest.test_case "fresh corpus, pruned domains" `Quick
+            (test_parity_corpus Mgrts_bench.Workload.Fresh ~expect:29);
+          Alcotest.test_case "tight corpus, pruned domains" `Quick
+            (test_parity_corpus Mgrts_bench.Workload.Tight ~expect:50);
+          Alcotest.test_case "repeat corpus, pruned domains" `Quick
+            (test_parity_corpus Mgrts_bench.Workload.Repeat ~expect:32);
+          Alcotest.test_case "urgency off needs memo off" `Quick test_urgency_off_needs_memo_off;
+          Alcotest.test_case "setup scales with jobs" `Quick test_setup_scales_with_jobs;
+          Alcotest.test_case "memo respects its cap" `Quick test_memo_respects_cap;
+          Alcotest.test_case "parallel memo off" `Quick test_parallel_memo_off;
         ] );
       ( "heterogeneous",
         [

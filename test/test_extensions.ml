@@ -43,7 +43,7 @@ let prop_ls_solves_feasible_instances =
   qtest ~count:40 "local search finds verified schedules on CSP-feasible instances"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | O.Feasible _, _ -> (
         match
           Localsearch.Min_conflicts.solve ~budget:(Prelude.Timer.budget ~nodes:400_000 ()) ts ~m
@@ -113,7 +113,7 @@ let prop_priority_found_implies_feasible =
       | Priority.Assignment.Found ranks, _ ->
         let sim = Sched.Sim.run ts ~m ~policy:(Sched.Sim.Fixed_priority ranks) in
         sim.Sched.Sim.ok && sim.Sched.Sim.exact
-        && (match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+        && (match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
            | O.Feasible _, _ -> true
            | (O.Infeasible | O.Limit | O.Memout _), _ -> false)
       | (Priority.Assignment.Not_found | Priority.Assignment.Limit), _ -> true)

@@ -354,7 +354,7 @@ let clone_witness ts ~m =
   let cloned = Clone.cloned r in
   if Taskset.hyperperiod cloned > 240 then None
   else
-    match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~nodes:2000 ()) cloned ~m with
+    match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~nodes:2000 ()) cloned ~m with
     | Encodings.Outcome.Feasible s, _ -> Some (Clone.map_schedule r s)
     | _ -> None
 
@@ -462,7 +462,7 @@ let prop_check_cyclic_matches_reference =
 let test_check_cyclic_allocation () =
   let ts = Test_util.pinned_5x420 and m = 5 in
   let sched =
-    match Csp2.Solver.solve ~heuristic:Csp2.Heuristic.DC ts ~m with
+    match Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC ts ~m with
     | Encodings.Outcome.Feasible s, _ -> s
     | _ -> Alcotest.fail "the pinned instance has no witness"
   in
@@ -618,7 +618,7 @@ let prop_metrics_bounds =
   qtest ~count:50 "metrics of solver schedules are internally consistent"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | Encodings.Outcome.Feasible sched, _ ->
         let metrics = Metrics.analyze ts sched in
         metrics.Metrics.busy_slots = Taskset.total_demand ts

@@ -48,9 +48,9 @@ let test_disarmed_noop () =
   with_clean_failpoints @@ fun () ->
   Alcotest.(check bool) "nothing armed" false (F.armed ());
   (* The solver-checkpoint fast path: must be a silent no-op anywhere. *)
-  F.hit "csp2.node";
-  F.with_scope (fun () -> F.hit "csp2.node");
-  check Alcotest.int "no counters kept" 0 (F.hits "csp2.node")
+  F.hit "csp2opt.node";
+  F.with_scope (fun () -> F.hit "csp2opt.node");
+  check Alcotest.int "no counters kept" 0 (F.hits "csp2opt.node")
 
 let test_scope_gating () =
   with_clean_failpoints @@ fun () ->
@@ -103,15 +103,15 @@ let test_disarm_and_reset () =
 
 let test_arm_spec () =
   with_clean_failpoints @@ fun () ->
-  F.arm_spec "csp2.node=delay:1ms@2,sat.propagate=raise:Stack_overflow";
+  F.arm_spec "csp2opt.node=delay:1ms@2,sat.propagate=raise:Stack_overflow";
   Alcotest.(check bool) "armed from spec" true (F.armed ());
   (match F.with_scope (fun () -> F.hit "sat.propagate") with
   | () -> Alcotest.fail "sat.propagate should raise"
   | exception Stdlib.Stack_overflow -> ());
   expect_invalid "unknown site" (fun () -> F.arm_spec "bogus=raise:Out_of_memory");
-  expect_invalid "malformed action" (fun () -> F.arm_spec "csp2.node=explode");
-  expect_invalid "malformed trigger" (fun () -> F.arm_spec "csp2.node=delay:1ms@zero");
-  expect_invalid "unknown exception" (fun () -> F.arm_spec "csp2.node=raise:Exit")
+  expect_invalid "malformed action" (fun () -> F.arm_spec "csp2opt.node=explode");
+  expect_invalid "malformed trigger" (fun () -> F.arm_spec "csp2opt.node=delay:1ms@zero");
+  expect_invalid "unknown exception" (fun () -> F.arm_spec "csp2opt.node=raise:Exit")
 
 let test_catalogue_complete () =
   (* Every instrumented checkpoint is armable through the validated

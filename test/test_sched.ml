@@ -108,7 +108,7 @@ let prop_edf_ok_implies_csp_feasible =
       let res = Sched.Sim.run ts ~m in
       (not (res.Sched.Sim.ok && res.Sched.Sim.exact))
       ||
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | O.Feasible _, _ -> true
       | (O.Infeasible | O.Limit | O.Memout _), _ -> false)
 
@@ -275,7 +275,7 @@ let prop_partition_sound =
       let res = Sched.Partitioned.partition ts ~m in
       (not res.Sched.Partitioned.ok)
       ||
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | O.Feasible _, _ -> true
       | (O.Infeasible | O.Limit | O.Memout _), _ -> false)
 
@@ -362,7 +362,7 @@ let prop_segments_cover =
   qtest ~count:80 "segments partition exactly the busy cells"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | O.Feasible sched, _ ->
         let total = List.fold_left (fun acc s -> acc + s.Schedule.len) 0 (Schedule.segments sched) in
         total = Schedule.busy_slots sched
@@ -373,7 +373,7 @@ let prop_segments_cover =
 
 let test_polish_preserves_and_improves () =
   let ts = Examples.running_example in
-  match Csp2.Solver.solve ts ~m:2 with
+  match Csp2.Opt.solve ~memo_mb:0 ts ~m:2 with
   | O.Feasible sched, _ ->
     let polished = Sched.Polish.minimize_migrations sched in
     Alcotest.(check bool) "still feasible" true (Verify.is_feasible ts polished);
@@ -388,7 +388,7 @@ let prop_polish_sound =
   qtest ~count:60 "polishing preserves feasibility and task multisets"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
     (fun (ts, m) ->
-      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      match Csp2.Opt.solve ~memo_mb:0 ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
       | O.Feasible sched, _ ->
         let polished = Sched.Polish.minimize_migrations sched in
         Verify.is_feasible ts polished
