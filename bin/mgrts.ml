@@ -284,8 +284,8 @@ let solve_cmd =
       & info [ "watchdog-beats" ] ~docv:"BEATS"
           ~doc:
             "Portfolio stall-watchdog window, in heartbeat intervals: an arm silent for \
-             this many intervals is cancelled alone and marked stalled (<= 0 disables the \
-             watchdog).")
+             more than this many intervals is cancelled alone at its next heartbeat and \
+             marked stalled (<= 0 disables the watchdog).")
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Decide feasibility of a task-set file.")
@@ -594,7 +594,6 @@ let serve_cmd =
     let base = Serve.Scheduler.default_config () in
     let config =
       {
-        base with
         Serve.Scheduler.workers = (if workers > 0 then workers else base.Serve.Scheduler.workers);
         jobs_per_request =
           (if jobs > 0 then jobs else base.Serve.Scheduler.jobs_per_request);

@@ -9,10 +9,12 @@
     solves ~200 instances of a millisecond each).  The pool spawns a
     worker domain once, parks it on a condition variable between uses,
     and hands it back out to the next {!run} — so back-to-back solves
-    (the bench campaign, the portfolio race, a future [mgrts serve])
+    (the bench campaign, the portfolio race, the [mgrts serve] workers)
     reuse domains, and with them every domain-local cache the engines
     keep (telemetry rings, and {!Csp2.Opt}'s warm engine state: frames,
-    rem buffers, epoch-invalidated memo tables).
+    rem buffers, epoch-invalidated memo tables).  It is the only place a
+    domain is spawned ([tool/lint]'s [spawn-site] rule): every domain in
+    the process is a job of some {!run}.
 
     Failpoint scoping propagates: when the caller of {!run} is inside a
     {!Resilience.Supervise.protect} scope, the pooled workers run their

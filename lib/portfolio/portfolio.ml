@@ -257,7 +257,6 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
       | Some c -> Resilience.Watchdog.with_cell c (fun () -> Resilience.Supervise.protect ~name run)
       | None -> Resilience.Supervise.protect ~name run
     in
-    Option.iter Resilience.Watchdog.unwatch cell;
     match protected with
     | Ok (outcome, stats) ->
       let stalled = match cell with Some c -> Resilience.Watchdog.stalled c | None -> false in
@@ -305,8 +304,9 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
      tight benchmark loops, and each arm supervises itself, so a warm
      worker carries no state across races beyond its domain-local engine
      caches — which are exactly what we want reused. *)
-  Csp2.Pool.run ~jobs (fun _ -> worker ());
-  Option.iter Resilience.Watchdog.stop watchdog;
+  Fun.protect
+    ~finally:(fun () -> Option.iter Resilience.Watchdog.stop watchdog)
+    (fun () -> Csp2.Pool.run ~jobs (fun _ -> worker ()));
   let originals =
     List.init n (fun i -> match reports.(i) with Some r -> r | None -> never_started i)
   in

@@ -70,8 +70,8 @@ type arm_status =
           backtrace are also recorded as a [crash:<arm>] telemetry
           instant. *)
   | Stalled
-      (** Cancelled by the stall watchdog: its heartbeats went silent for
-          the stall window while the budget was live.  The arm still
+      (** Cancelled by the stall watchdog, at the heartbeat that ended a
+          silence longer than the stall window.  The arm still
           reports the (non-decisive) outcome it returned after the
           cancellation landed. *)
   | Not_started  (** The race ended before this spec's turn. *)
@@ -123,8 +123,8 @@ val solve :
   m:int ->
   result
 (** Race [specs] (default {!default_specs}) with at most [jobs] domains
-    (default [Domain.recommended_domain_count ()], clamped to the spec
-    count); with fewer domains than specs, idle domains pull the next spec
+    (default {!Prelude.Parallel.recommended_jobs}[ ()], clamped to the
+    spec count); with fewer domains than specs, idle domains pull the next spec
     from the queue until a verdict lands.  Identical platforms and
     constrained deadlines only, like the backends themselves ({!Core} runs
     the clone transform before racing).  [seed + arm index] seeds the
@@ -136,10 +136,12 @@ val solve :
     [Timer.cancel] on the original budget stops the analyzer and every
     arm promptly and the race returns [Limit].  Each arm additionally
     runs under a private {!Prelude.Timer.fork} of the race budget, which
-    is what the stall watchdog cancels: an arm whose heartbeats go silent
-    for [stall_beats] × {!Telemetry.heartbeat_interval} seconds (default
-    16 beats of 0.5 s) is cancelled alone and marked {!Stalled}, and its
-    domain backfills from the queue.  [stall_beats <= 0] disables the
+    is what the stall watchdog ({!Resilience.Watchdog}) cancels: an arm
+    whose heartbeats fall silent for more than [stall_beats] ×
+    {!Telemetry.heartbeat_interval} seconds (default 16 beats of 0.5 s)
+    is cancelled alone at its next heartbeat and marked {!Stalled}, and
+    its domain backfills from the queue.  An arm that finishes before
+    that heartbeat keeps its verdict.  [stall_beats <= 0] disables the
     watchdog.
 
     Unless [analyze:false], the static analyzer runs first as a sequential

@@ -1,49 +1,25 @@
 open Prelude
 
+(* A cell is only ever touched by the domain its arm runs on: the beat
+   hook fires there, and the portfolio reads [stalled] there once the arm
+   returns.  Plain mutable fields suffice. *)
 type cell = {
   c_name : string;
-  last : float Atomic.t;
-  stalled_flag : bool Atomic.t;
-  active : bool Atomic.t;
+  c_stall_s : float;
+  mutable last : float;
+  mutable stalled_flag : bool;
   cancel : unit -> unit;
 }
 
-type t = {
-  stall_s : float;
-  tick_s : float;
-  cells : cell list Atomic.t;
-  shutdown : bool Atomic.t;
-  mutable dom : unit Domain.t option;
-}
+type t = { stall_s : float }
 
 let create ?(stall_beats = 16.) () =
-  let stall_s = Float.max 1e-3 (stall_beats *. Telemetry.heartbeat_interval ()) in
-  (* A few scans per stall window: prompt detection without a busy loop,
-     and [stop] joins within one tick. *)
-  let tick_s = Float.max 0.002 (Float.min 0.05 (stall_s /. 4.)) in
-  { stall_s; tick_s; cells = Atomic.make []; shutdown = Atomic.make false; dom = None }
-
-let touch c = Atomic.set c.last (Timer.now ())
+  { stall_s = Float.max 1e-3 (stall_beats *. Telemetry.heartbeat_interval ()) }
 
 let watch t ~name ~cancel =
-  let c =
-    {
-      c_name = name;
-      last = Atomic.make (Timer.now ());
-      stalled_flag = Atomic.make false;
-      active = Atomic.make true;
-      cancel;
-    }
-  in
-  let rec push () =
-    let old = Atomic.get t.cells in
-    if not (Atomic.compare_and_set t.cells old (c :: old)) then push ()
-  in
-  push ();
-  c
+  { c_name = name; c_stall_s = t.stall_s; last = Timer.now (); stalled_flag = false; cancel }
 
-let unwatch c = Atomic.set c.active false
-let stalled c = Atomic.get c.stalled_flag
+let stalled c = c.stalled_flag
 
 (* Beats are emitted under backend family names, not arm identities, so
    the hook maps beat -> cell through domain-local state: an arm occupies
@@ -56,42 +32,36 @@ let with_cell c f =
   r := Some c;
   Fun.protect ~finally:(fun () -> r := saved) f
 
+(* Every backend polls its budget right after its heartbeat checkpoint,
+   so a cancel issued here takes effect at once — as early as any other
+   cancel could. *)
 let beat_hook () =
-  match !(Domain.DLS.get dls_cell) with Some c -> touch c | None -> ()
+  match !(Domain.DLS.get dls_cell) with
+  | None -> ()
+  | Some c ->
+    let now = Timer.now () in
+    if (not c.stalled_flag) && now -. c.last > c.c_stall_s then begin
+      c.stalled_flag <- true;
+      Telemetry.instant "watchdog.stall" ~cat:"resilience"
+        ~args:[ ("arm", c.c_name); ("stall_s", Printf.sprintf "%.3f" c.c_stall_s) ];
+      c.cancel ()
+    end;
+    c.last <- now
 
-(* The telemetry hook is global; a refcount keeps it installed exactly
-   while some watchdog is live, so with none the heartbeat disabled path
-   stays one atomic load. *)
-let live = Atomic.make 0
+(* The telemetry hook is global; a count keeps it installed exactly while
+   some watchdog is live, so with none the heartbeat disabled path stays
+   one atomic load.  Count and hook change under one lock: a race
+   stopping while another starts cannot remove the hook the new one just
+   installed. *)
+let hook_lock = Mutex.create ()
+let live = ref 0
 
-let scan t =
-  let now = Timer.now () in
-  List.iter
-    (fun c ->
-      if
-        Atomic.get c.active
-        && (not (Atomic.get c.stalled_flag))
-        && now -. Atomic.get c.last > t.stall_s
-        && Atomic.compare_and_set c.stalled_flag false true
-      then begin
-        Telemetry.instant "watchdog.stall" ~cat:"resilience"
-          ~args:[ ("arm", c.c_name); ("stall_s", Printf.sprintf "%.3f" t.stall_s) ];
-        c.cancel ()
-      end)
-    (Atomic.get t.cells)
+let start _ =
+  Mutex.protect hook_lock (fun () ->
+      incr live;
+      if !live = 1 then Telemetry.set_on_beat (Some beat_hook))
 
-let start t =
-  if Atomic.fetch_and_add live 1 = 0 then Telemetry.set_on_beat (Some beat_hook);
-  t.dom <-
-    Some
-      (Domain.spawn (fun () ->
-           while not (Atomic.get t.shutdown) do
-             Unix.sleepf t.tick_s;
-             scan t
-           done))
-
-let stop t =
-  Atomic.set t.shutdown true;
-  Option.iter Domain.join t.dom;
-  t.dom <- None;
-  if Atomic.fetch_and_add live (-1) = 1 then Telemetry.set_on_beat None
+let stop _ =
+  Mutex.protect hook_lock (fun () ->
+      decr live;
+      if !live = 0 then Telemetry.set_on_beat None)

@@ -1,21 +1,3 @@
-(* The stats ticker polls a stop flag at a fine grain so shutdown never
-   waits out a long stats interval; state lives in the loop's accumulator
-   parameter (no captured mutable state on a spawned domain). *)
-let ticker_loop ~stop ~every sched =
-  let tick = 0.05 in
-  let rec go acc =
-    if not (Atomic.get stop) then begin
-      Unix.sleepf tick;
-      let acc = acc +. tick in
-      if acc >= every then begin
-        Scheduler.emit_stats sched;
-        go 0.
-      end
-      else go acc
-    end
-  in
-  go 0.
-
 let run ?config ?stats_every_s ?(input = stdin) ?(output = stdout) () =
   let out_mu = Mutex.create () in
   let emit line =
@@ -26,12 +8,6 @@ let run ?config ?stats_every_s ?(input = stdin) ?(output = stdout) () =
     Mutex.unlock out_mu
   in
   let sched = Scheduler.create ?config ~emit () in
-  let stop = Atomic.make false in
-  let ticker =
-    match stats_every_s with
-    | Some every when every > 0. -> Some (Domain.spawn (fun () -> ticker_loop ~stop ~every sched))
-    | Some _ | None -> None
-  in
   let rec loop n =
     match input_line input with
     | exception End_of_file -> ()
@@ -44,9 +20,6 @@ let run ?config ?stats_every_s ?(input = stdin) ?(output = stdout) () =
         | `Shutdown -> ()
       end
   in
-  loop 1;
-  Scheduler.shutdown sched;
-  Atomic.set stop true;
-  (match ticker with Some d -> Domain.join d | None -> ());
+  Scheduler.serve ?stats_every_s sched (fun () -> loop 1);
   Scheduler.emit_stats sched;
   0

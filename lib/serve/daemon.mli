@@ -8,7 +8,11 @@
     admitted request still gets its response), a final stats event is
     emitted, and the daemon returns 0.  Per-request failures — malformed
     lines, invalid task sets, contained solver crashes, queue-full
-    rejections — are {e responses}, never daemon exits. *)
+    rejections — are {e responses}, never daemon exits.
+
+    The read loop runs on the calling domain inside
+    {!Scheduler.serve}; the worker loops and the stats ticker are the
+    other jobs of that call's pool run. *)
 
 val run :
   ?config:Scheduler.config ->

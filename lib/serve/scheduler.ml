@@ -6,10 +6,7 @@ type config = {
   queue_capacity : int;
   default_wall_s : float;
   max_wall_s : float;
-  default_nodes : int option;
-  default_solver : Core.solver;
   cache_capacity : int;
-  stall_beats : float;
 }
 
 let default_config () =
@@ -25,10 +22,7 @@ let default_config () =
     queue_capacity = 64;
     default_wall_s = 5.;
     max_wall_s = 30.;
-    default_nodes = None;
-    default_solver = Core.default_solver;
     cache_capacity = 512;
-    stall_beats = 16.;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -92,8 +86,6 @@ type t = {
   emit : string -> unit;
   cache : Cache.t;
   queue : queue;
-  mutable domains : unit Domain.t array;
-  joined : bool Atomic.t;
   started : float;
   received : int Atomic.t;
   served : int Atomic.t;
@@ -184,20 +176,17 @@ let run t (req : Proto.solve_request) =
         Float.min t.config.max_wall_s
           (match req.Proto.wall_s with Some w -> w | None -> t.config.default_wall_s)
       in
-      let nodes = match req.Proto.nodes with Some _ as n -> n | None -> t.config.default_nodes in
-      let budget = Prelude.Timer.budget ~wall_s ?nodes () in
+      let budget = Prelude.Timer.budget ~wall_s ?nodes:req.Proto.nodes () in
       let solver =
-        match (match req.Proto.solver with Some s -> s | None -> t.config.default_solver) with
-        | Core.Portfolio _ -> Core.Portfolio t.config.jobs_per_request
-        | s -> s
+        match req.Proto.solver with
+        | Some (Core.Portfolio _) -> Core.Portfolio t.config.jobs_per_request
+        | Some s -> s
+        | None -> Core.default_solver
       in
       let verdict, time_s, winner, stats =
         match solver with
         | Core.Portfolio jobs ->
-          let r =
-            Core.solve_portfolio ~jobs ~budget ~seed:req.Proto.seed
-              ~stall_beats:t.config.stall_beats ts ~m
-          in
+          let r = Core.solve_portfolio ~jobs ~budget ~seed:req.Proto.seed ts ~m in
           let winner_stats =
             match
               List.find_opt (fun (b : Portfolio.backend_stats) -> b.winner) r.Portfolio.backends
@@ -274,7 +263,7 @@ let process t ~queue_s (req : Proto.solve_request) =
   resp
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool. *)
+(* Serving: worker loops and the stats ticker, as jobs of one pool run. *)
 
 let rec worker_loop t =
   match queue_pop t.queue with
@@ -289,28 +278,22 @@ let rec worker_loop t =
 
 let create ?config ~emit () =
   let config = match config with Some c -> c | None -> default_config () in
-  let t =
-    {
-      config;
-      emit;
-      cache = Cache.create ~capacity:config.cache_capacity;
-      queue = queue_create ();
-      domains = [||];
-      joined = Atomic.make false;
-      started = Prelude.Timer.now ();
-      received = Atomic.make 0;
-      served = Atomic.make 0;
-      decided = Atomic.make 0;
-      undecided = Atomic.make 0;
-      errors = Atomic.make 0;
-      rejected = Atomic.make 0;
-      crashed = Atomic.make 0;
-      front_door = Atomic.make 0;
-      in_flight = Atomic.make 0;
-    }
-  in
-  t.domains <- Array.init config.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    config;
+    emit;
+    cache = Cache.create ~capacity:config.cache_capacity;
+    queue = queue_create ();
+    started = Prelude.Timer.now ();
+    received = Atomic.make 0;
+    served = Atomic.make 0;
+    decided = Atomic.make 0;
+    undecided = Atomic.make 0;
+    errors = Atomic.make 0;
+    rejected = Atomic.make 0;
+    crashed = Atomic.make 0;
+    front_door = Atomic.make 0;
+    in_flight = Atomic.make 0;
+  }
 
 let counters t =
   {
@@ -355,6 +338,39 @@ let handle_line t ~fallback_id line =
         (Proto.response_json (Proto.rejected_response ~id:req.Proto.id ~queue_depth:depth)));
     `Continue
 
-let shutdown t =
-  queue_close t.queue;
-  if not (Atomic.exchange t.joined true) then Array.iter Domain.join t.domains
+let shutdown t = queue_close t.queue
+
+(* The stats ticker polls a stop flag at a fine grain so shutdown never
+   waits out a long stats interval; state lives in the loop's accumulator
+   parameter (no captured mutable state on a pooled domain). *)
+let ticker_loop t ~stop ~every =
+  let tick = 0.05 in
+  let rec go acc =
+    if not (Atomic.get stop) then begin
+      Unix.sleepf tick;
+      let acc = acc +. tick in
+      if acc >= every then begin
+        emit_stats t;
+        go 0.
+      end
+      else go acc
+    end
+  in
+  go 0.
+
+(* Job 0 is [f] on the calling domain, jobs 1..workers drain the queue,
+   and the last job, when asked for, is the ticker.  The pool hands out
+   every job before [f] starts and returns once all of them have. *)
+let serve ?stats_every_s t f =
+  let workers = t.config.workers in
+  let stop = Atomic.make false in
+  let ticker = match stats_every_s with Some every when every > 0. -> 1 | Some _ | None -> 0 in
+  Csp2.Pool.run ~jobs:(1 + workers + ticker) (fun i ->
+      if i = 0 then
+        Fun.protect
+          ~finally:(fun () ->
+            shutdown t;
+            Atomic.set stop true)
+          f
+      else if i <= workers then worker_loop t
+      else ticker_loop t ~stop ~every:(Option.get stats_every_s))

@@ -1,13 +1,15 @@
 (** The serve daemon's request scheduler: a bounded admission queue feeding
-    a pool of worker domains, each solving one request at a time under its
+    [workers] worker loops, each solving one request at a time under its
     own supervision scope, budget and telemetry, with a shared verdict
-    cache (see DESIGN.md §11).
+    cache (see DESIGN.md §11).  The scheduler owns no domain: {!serve}
+    runs the worker loops, and the stats ticker, as jobs of one
+    {!Csp2.Pool.run}.
 
     Sharding: with [Prelude.Parallel.recommended_jobs ()] cores available,
-    the pool runs [workers] concurrent requests and hands each request
-    [jobs_per_request] domains of intra-solve parallelism (portfolio
-    races), so concurrent tenants split the machine instead of each
-    grabbing all of it.
+    the scheduler runs [workers] concurrent requests and hands each
+    request [jobs_per_request] domains of intra-solve parallelism
+    (portfolio races), so concurrent tenants split the machine instead of
+    each grabbing all of it.
 
     Admission control: {!handle_line} rejects a solve request outright
     (code 6) when the queue already holds [queue_capacity] requests — the
@@ -20,8 +22,12 @@
     crash (or an armed ["serve.request"] failpoint) becomes a code-5
     response for that request and the daemon keeps serving.  The
     [mgrts serve] I/O loop and the tests drive this module the same way:
-    feed lines to {!handle_line}, collect responses from the [emit]
-    callback. *)
+    feed lines to {!handle_line} inside {!serve}, collect responses from
+    the [emit] callback.
+
+    A request names its own solver and node budget, or gets
+    {!Core.default_solver} with no node budget; a portfolio request races
+    under the portfolio's default stall-watchdog window. *)
 
 type config = {
   workers : int;  (** Concurrent requests in flight. *)
@@ -29,10 +35,7 @@ type config = {
   queue_capacity : int;  (** Admission bound; beyond it, code 6. *)
   default_wall_s : float;  (** Wall budget when the request names none. *)
   max_wall_s : float;  (** Hard per-request clamp, tenant-proof. *)
-  default_nodes : int option;  (** Node budget when the request names none. *)
-  default_solver : Core.solver;
   cache_capacity : int;  (** Verdict cache entries before LRU eviction. *)
-  stall_beats : float;  (** Portfolio stall-watchdog window; <= 0 off. *)
 }
 
 val default_config : unit -> config
@@ -43,11 +46,22 @@ val default_config : unit -> config
 type t
 
 val create : ?config:config -> emit:(string -> unit) -> unit -> t
-(** Start the worker pool.  [emit] receives every output line (responses
-    and stats events), without trailing newline; it is called from worker
-    domains and from {!handle_line}'s caller, so it must be thread-safe —
-    the serve loop passes a mutex-guarded stdout writer, tests a
+(** A scheduler with an empty queue and cache; it starts no domain.
+    [emit] receives every output line (responses and stats events),
+    without trailing newline; it is called from the worker loops, the
+    ticker and {!handle_line}'s caller, so it must be thread-safe — the
+    serve loop passes a mutex-guarded stdout writer, tests a
     mutex-guarded collector. *)
+
+val serve : ?stats_every_s:float -> t -> (unit -> unit) -> unit
+(** [serve t f] runs [f] on the calling domain while [workers] worker
+    loops drain the queue, and — when [stats_every_s] is positive — a
+    ticker emits the stats event every [stats_every_s] seconds.  All of
+    them are jobs of one {!Csp2.Pool.run}, which hands out the workers
+    before [f] starts.  When [f] returns or raises, the queue is closed
+    ({!shutdown}) and the ticker stopped; [serve] returns (or re-raises)
+    once every queued request has been answered.  [f] typically feeds
+    lines to {!handle_line}. *)
 
 val handle_line : t -> fallback_id:string -> string -> [ `Continue | `Shutdown ]
 (** Parse one NDJSON request line and act on it: enqueue a solve (or emit
@@ -59,7 +73,8 @@ val process : t -> queue_s:float -> Proto.solve_request -> Proto.response
 (** The per-request pipeline a worker runs: front-door exact-utilization
     check, cache lookup (with relabeling and verify-on-hit), budgeted
     solve, cache store.  Exposed so tests can drive single requests
-    synchronously; [handle_line] is the concurrent entry point. *)
+    synchronously, outside {!serve}; [handle_line] is the concurrent
+    entry point. *)
 
 val counters : t -> Proto.counters
 (** Live snapshot.  [received] counts solve attempts (including rejected)
@@ -72,5 +87,6 @@ val emit_stats : t -> unit
 (** Emit one [{"event": "stats", ...}] line through the [emit] callback. *)
 
 val shutdown : t -> unit
-(** Stop admitting, let the workers drain every queued request, join
-    them.  Idempotent.  [handle_line] after shutdown rejects solves. *)
+(** Stop admitting: close the queue, so the worker loops of {!serve}
+    return once it is drained.  Idempotent.  [handle_line] after shutdown
+    rejects solves. *)

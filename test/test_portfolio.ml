@@ -242,6 +242,21 @@ let prop_agrees_with_sat =
       | O.Infeasible, O.Infeasible -> true
       | _ -> false)
 
+(* A race owns no domain: with the stall watchdog at its default, warm
+   races run on pooled domains alone. *)
+let test_warm_races_spawn_no_domain () =
+  List.iter
+    (fun jobs ->
+      ignore (P.solve ~jobs running ~m:2);
+      check Alcotest.int
+        (Printf.sprintf "20 races at jobs=%d" jobs)
+        0
+        (Test_util.spawns_during (fun () ->
+             for _ = 1 to 20 do
+               ignore (P.solve ~jobs running ~m:2)
+             done)))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "portfolio"
     [
@@ -257,6 +272,8 @@ let () =
           Alcotest.test_case "static analysis arm" `Quick test_static_analysis_arm;
           Alcotest.test_case "summary line" `Quick test_summary_line;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
+          Alcotest.test_case "warm races spawn no domain" `Quick
+            test_warm_races_spawn_no_domain;
         ] );
       ( "facade",
         [

@@ -226,23 +226,31 @@ let with_heartbeat_interval dt f =
   Fun.protect ~finally:(fun () -> Telemetry.set_heartbeat_interval old) f
 
 let test_watchdog_cancels_stalled () =
-  with_heartbeat_interval 0.02 @@ fun () ->
-  let w = W.create ~stall_beats:5. () in
+  with_heartbeat_interval 0.01 @@ fun () ->
+  let w = W.create ~stall_beats:10. () in
   (* 100 ms window *)
   let cancelled = Atomic.make 0 in
   let live = W.watch w ~name:"live" ~cancel:(fun () -> ()) in
   let stuck = W.watch w ~name:"stuck" ~cancel:(fun () -> Atomic.incr cancelled) in
+  let beat c i =
+    Unix.sleepf 0.01;
+    W.with_cell c (fun () -> Telemetry.heartbeat ~name:"test" ~nodes:i ~fails:0 ~depth:1)
+  in
   W.start w;
   Fun.protect ~finally:(fun () -> W.stop w) (fun () ->
-      for _ = 1 to 30 do
-        Unix.sleepf 0.01;
-        W.touch live
+      (* [live] beats throughout while [stuck] stays silent for 300 ms,
+         then resumes: the stall is caught at its first beat, and the
+         beats after it do not cancel again. *)
+      for i = 1 to 30 do
+        beat live i
+      done;
+      Alcotest.(check bool) "silence alone cancels nothing" false (W.stalled stuck);
+      for i = 1 to 3 do
+        beat stuck i
       done);
   Alcotest.(check bool) "silent arm stalled" true (W.stalled stuck);
   Alcotest.(check bool) "touched arm alive" false (W.stalled live);
-  check Alcotest.int "cancel invoked exactly once" 1 (Atomic.get cancelled);
-  W.unwatch live;
-  W.unwatch stuck
+  check Alcotest.int "cancel invoked exactly once" 1 (Atomic.get cancelled)
 
 let test_watchdog_beats_keep_alive () =
   with_heartbeat_interval 0.01 @@ fun () ->
@@ -258,8 +266,7 @@ let test_watchdog_beats_keep_alive () =
             Unix.sleepf 0.01;
             Telemetry.heartbeat ~name:"test" ~nodes:i ~fails:0 ~depth:1
           done));
-  Alcotest.(check bool) "beats kept the arm alive" false (W.stalled c);
-  W.unwatch c
+  Alcotest.(check bool) "beats kept the arm alive" false (W.stalled c)
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio containment                                                *)

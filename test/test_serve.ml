@@ -45,8 +45,7 @@ let contains s sub =
   go 0
 
 let with_scheduler ?(config = small_config ()) ?(emit = fun _ -> ()) f =
-  let t = Scheduler.create ~config ~emit () in
-  Fun.protect ~finally:(fun () -> Scheduler.shutdown t) (fun () -> f t)
+  f (Scheduler.create ~config ~emit ())
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint *)
@@ -322,12 +321,13 @@ let test_handle_line_end_to_end () =
   let emit, dump = emit_collector () in
   let t = Scheduler.create ~config:(small_config ()) ~emit () in
   let feed line = Scheduler.handle_line t ~fallback_id:"x" line in
-  Alcotest.(check bool) "solve continues" true
-    (feed "{\"id\":\"a\",\"taskset\":[[0,1,2,2],[1,3,4,4],[0,2,2,3]],\"m\":2}" = `Continue);
-  Alcotest.(check bool) "malformed continues" true (feed "garbage" = `Continue);
-  Alcotest.(check bool) "stats continues" true (feed "{\"cmd\":\"stats\"}" = `Continue);
-  Alcotest.(check bool) "shutdown stops" true (feed "{\"cmd\":\"shutdown\"}" = `Shutdown);
-  Scheduler.shutdown t;
+  Scheduler.serve t (fun () ->
+      Alcotest.(check bool) "solve continues" true
+        (feed "{\"id\":\"a\",\"taskset\":[[0,1,2,2],[1,3,4,4],[0,2,2,3]],\"m\":2}"
+        = `Continue);
+      Alcotest.(check bool) "malformed continues" true (feed "garbage" = `Continue);
+      Alcotest.(check bool) "stats continues" true (feed "{\"cmd\":\"stats\"}" = `Continue);
+      Alcotest.(check bool) "shutdown stops" true (feed "{\"cmd\":\"shutdown\"}" = `Shutdown));
   let lines = dump () in
   let ids = List.filter_map (fun l -> json_field_string l "id") lines in
   Alcotest.(check bool) "request a answered" true (List.mem "a" ids);
@@ -359,11 +359,11 @@ let test_wrapping_supply_not_infeasible () =
   Resilience.Failpoint.reset ();
   let emit, dump = emit_collector () in
   let t = Scheduler.create ~config:(small_config ()) ~emit () in
-  ignore
-    (Scheduler.handle_line t ~fallback_id:"x"
-       "{\"id\":\"wrap\",\"taskset\":[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],\
-        [0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]],\"m\":5}");
-  Scheduler.shutdown t;
+  Scheduler.serve t (fun () ->
+      ignore
+        (Scheduler.handle_line t ~fallback_id:"x"
+           "{\"id\":\"wrap\",\"taskset\":[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],\
+            [0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]],\"m\":5}"));
   let code =
     List.find_map
       (fun l ->
@@ -388,21 +388,21 @@ let test_queue_full_rejection () =
       let config = { (small_config ()) with Scheduler.queue_capacity = 1 } in
       let t = Scheduler.create ~config ~emit () in
       let solve id = Printf.sprintf "{\"id\":%S,\"taskset\":[[0,1,2,2]],\"m\":1,\"no_cache\":true}" id in
-      ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "slow"));
-      (* Wait for the worker to pick "slow" up so the queue is empty. *)
-      let rec wait_in_flight tries =
-        if tries = 0 then Alcotest.fail "worker never picked the request up"
-        else if (Scheduler.counters t).Proto.in_flight < 1 then begin
-          Unix.sleepf 0.01;
-          wait_in_flight (tries - 1)
-        end
-      in
-      wait_in_flight 200;
-      ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "queued"));
-      ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "overflow"));
-      let c = Scheduler.counters t in
-      Alcotest.(check int) "one rejection" 1 c.Proto.rejected;
-      Scheduler.shutdown t;
+      Scheduler.serve t (fun () ->
+          ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "slow"));
+          (* Wait for the worker to pick "slow" up so the queue is empty. *)
+          let rec wait_in_flight tries =
+            if tries = 0 then Alcotest.fail "worker never picked the request up"
+            else if (Scheduler.counters t).Proto.in_flight < 1 then begin
+              Unix.sleepf 0.01;
+              wait_in_flight (tries - 1)
+            end
+          in
+          wait_in_flight 200;
+          ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "queued"));
+          ignore (Scheduler.handle_line t ~fallback_id:"x" (solve "overflow"));
+          let c = Scheduler.counters t in
+          Alcotest.(check int) "one rejection" 1 c.Proto.rejected);
       let lines = dump () in
       let code_of id =
         List.find_map
@@ -416,6 +416,20 @@ let test_queue_full_rejection () =
       Alcotest.(check (option int)) "slow solved" (Some 0) (code_of "slow");
       Alcotest.(check (option int)) "queued solved after drain" (Some 0) (code_of "queued");
       Alcotest.(check (option int)) "overflow rejected" (Some 6) (code_of "overflow"))
+
+(* Workers are pool jobs: once a first session has warmed the pool, a
+   second session with two workers spawns no domain. *)
+let test_warm_session_spawns_no_domain () =
+  let config = { (small_config ()) with Scheduler.workers = 2 } in
+  let session () =
+    let t = Scheduler.create ~config ~emit:(fun _ -> ()) () in
+    Scheduler.serve t (fun () ->
+        ignore
+          (Scheduler.handle_line t ~fallback_id:"x"
+             "{\"id\":\"a\",\"taskset\":[[0,1,2,2]],\"m\":1}"))
+  in
+  session ();
+  Alcotest.(check int) "second session" 0 (Test_util.spawns_during session)
 
 let solve_line ~id (ts, m) =
   let row (o, c, d, t) = Json.Arr (List.map Json.int [ o; c; d; t ]) in
@@ -451,7 +465,9 @@ let test_failpoint_soak () =
       (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)
   in
   let burst_until = ref (-1) in
+  (* The checks below run only if [serve] drains the queue and returns. *)
   Fun.protect ~finally:Resilience.Failpoint.reset (fun () ->
+      Scheduler.serve t @@ fun () ->
       for i = 0 to requests - 1 do
         (let open Resilience.Failpoint in
          if i mod 50 = 25 then arm ~trigger:(Nth 1) "serve.request" (Raise Out_of_memory)
@@ -470,9 +486,7 @@ let test_failpoint_soak () =
         ignore
           (Scheduler.handle_line t ~fallback_id:id
              (solve_line ~id instances.(i mod Array.length instances)))
-      done;
-      (* The checks below run only if shutdown drains and joins. *)
-      Scheduler.shutdown t);
+      done);
   let lines =
     List.map
       (fun l ->
@@ -525,7 +539,7 @@ let () =
           Alcotest.test_case "wrapping supply is not infeasible" `Quick
             test_wrapping_supply_not_infeasible;
           Alcotest.test_case "failpoint soak" `Quick test_failpoint_soak;
-          Alcotest.test_case "join property-test workers" `Quick (fun () ->
-              if Lazy.is_val props_sched then Scheduler.shutdown (Lazy.force props_sched));
+          Alcotest.test_case "warm session spawns no domain" `Quick
+            test_warm_session_spawns_no_domain;
         ] );
     ]

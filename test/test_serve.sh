@@ -85,4 +85,21 @@ grep -q '"id": "huge", "status": "error", "code": 3' "$HUGE_OUT" || fail "huge h
 grep -q '"id": "next", "status": "decided", "code": 0' "$HUGE_OUT" ||
   fail "no answer after the huge-hyperperiod request"
 
+# The periodic stats line: one solve, then 0.3 s more of open input at a
+# 0.05 s interval.  At least two periodic stats events besides the final
+# one, and the final one is the last line.
+STATS_OUT=$(mktemp)
+trap 'rm -f "$OUT" "$HUGE_OUT" "$STATS_OUT"' EXIT
+{
+  echo '{"id":"tick","taskset":[[0,1,2,2]],"m":1}'
+  sleep 0.3
+} | "$MGRTS" serve --workers 1 --stats-every 0.05 >"$STATS_OUT" 2>/dev/null
+code=$?
+[ "$code" -eq 0 ] || fail "stats ticker daemon: expected exit 0, got $code"
+grep -q '"id": "tick", "status": "decided", "code": 0' "$STATS_OUT" ||
+  fail "stats ticker daemon: no answer for request tick"
+[ "$(grep -c '"event": "stats"' "$STATS_OUT")" -ge 3 ] ||
+  fail "expected at least two periodic stats events besides the final one"
+tail -n 1 "$STATS_OUT" | grep -q '"event": "stats"' || fail "the last line must be the final stats event"
+
 echo "serve smoke ok"

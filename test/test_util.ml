@@ -82,3 +82,17 @@ let allocated_words f =
   let after = Gc.quick_stat () in
   let total (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
   total after -. total before
+
+(* Domains spawned while [f] runs, pooled or not.  Domain ids grow by one
+   per [Domain.spawn], so the gap between the ids of two probe domains,
+   one spawned on each side of [f], counts the spawns made between them. *)
+let spawns_during f =
+  let probe () =
+    let d = Domain.spawn ignore in
+    let id = (Domain.get_id d :> int) in
+    Domain.join d;
+    id
+  in
+  let before = probe () in
+  f ();
+  probe () - before - 1

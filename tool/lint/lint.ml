@@ -1,6 +1,6 @@
 (* Hot-path / concurrency lint over lib/, on compiler-libs parsetrees.
 
-   Four rule families, all syntactic (no typing pass — the rules are
+   Five rule families, all syntactic (no typing pass — the rules are
    chosen so that a parsetree is enough):
 
    poly-compare   Any use of the polymorphic comparator family that the
@@ -33,6 +33,14 @@
                   by the worker id, single-writer refs read after join)
                   are annotated [@lint.racy_ok "reason"], which
                   suppresses the subtree and doubles as documentation.
+
+   spawn-site     Any [Domain.spawn] (or [Stdlib.Domain.spawn]) under
+                  lib/ outside lib/csp2/pool.ml and the [Thread] module
+                  of lib/prelude/sync.ml, the [Prelude.Sync.Thread]
+                  alias.  Every domain in the process is a job of some
+                  [Csp2.Pool.run] and returns to the pool when that call
+                  returns; a domain spawned anywhere else escapes the
+                  pool's reuse.
 
    failpoint-catalogue
                   Three-way agreement between DESIGN.md's catalogue
@@ -296,7 +304,44 @@ let check_spawns ctx str =
   it.structure it str
 
 (* ------------------------------------------------------------------ *)
-(* Rule 4: failpoint catalogue agreement. *)
+(* Rule 4: one domain owner. *)
+
+let ends_with s suffix =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.sub s (n - k) k = suffix
+
+let check_spawn_sites ctx str =
+  (* Where a spawn may stand: the whole pool, and the Sync.Thread alias
+     the pool protocol is written against. *)
+  let in_sync = ends_with ctx.file "lib/prelude/sync.ml" in
+  let allowed = ref (ends_with ctx.file "lib/csp2/pool.ml") in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          let saved = !allowed in
+          if in_sync && mb.Parsetree.pmb_name.txt = Some "Thread" then allowed := true;
+          Ast_iterator.default_iterator.module_binding self mb;
+          allowed := saved);
+      expr =
+        (fun self e ->
+          (match e.Parsetree.pexp_desc with
+          | Parsetree.Pexp_ident { txt; loc } when not !allowed -> (
+            match flatten_lid txt with
+            | [ "Domain"; "spawn" ] | [ "Stdlib"; "Domain"; "spawn" ] ->
+              add ~file:ctx.file ~loc ~rule:"spawn-site"
+                "Domain.spawn outside Csp2.Pool: every domain is a job of some Csp2.Pool.run; \
+                 run this work as a job of the caller's pool run"
+            | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str
+
+(* ------------------------------------------------------------------ *)
+(* Rule 5: failpoint catalogue agreement. *)
 
 let collect_hits ctx str =
   let it =
@@ -493,6 +538,7 @@ let () =
         in
         check_comparators ctx str;
         check_spawns ctx str;
+        check_spawn_sites ctx str;
         collect_hits ctx str;
         all_hits := ctx.hits @ !all_hits
       | exception e ->
