@@ -69,8 +69,9 @@ val analyze :
 (** Run all passes.  [wall] (default {!Prelude.Timer.unlimited}) is polled
     at every budget checkpoint: once the wall clock runs out or the budget
     is cancelled, remaining passes are skipped and reported — so a caller
-    racing the analyzer against a deadline (the portfolio's arm 0) never
-    loses more than one checkpoint interval past its limit.
+    capping the analyzer ({!Core.solve}'s pre-search pass, at half the
+    request's remaining wall) never loses more than one checkpoint
+    interval past its limit.
     @raise Invalid_argument on non-constrained-deadline task sets or
     [m < 1]. *)
 

@@ -107,9 +107,7 @@ let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
     fst (Localsearch.Min_conflicts.solve ~seed ~budget ?domains ts ~m)
   | Portfolio jobs ->
     if not identical then invalid_arg "Core.solve: Portfolio requires an identical platform";
-    (* The analyzer already ran (or was disabled) at this level; hand the
-       arms its domains rather than re-running it inside the race. *)
-    (Portfolio.solve ~jobs ~budget ~seed ~analyze:false ?domains ts ~m).Portfolio.verdict
+    (Portfolio.solve ~jobs ~budget ~seed ?domains ts ~m).Portfolio.verdict
 
 (* The witness stage: a global-LLF schedule that {!Sched.Sim.llf_witness}
    has verified, or [None].  Skipped when U > m, where no schedule exists
@@ -117,18 +115,47 @@ let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
 let witness ~budget ts ~m =
   if Analysis.utilization_exceeds ts ~m then None else Sched.Sim.llf_witness ~budget ts ~m
 
-(* The pre-search pass on a constrained system and identical platform:
-   a witness decides a feasible instance outright; otherwise the analyzer
-   refutes it or returns the pruned domains for the search backend. *)
-let static_pass ~analyze ~platform ~budget ts ~m =
-  if not (analyze && Platform.is_identical platform) then `Search None
+(* What the pre-search pass found: a witness schedule, the analyzer's
+   report, or nothing because it did not run. *)
+type pass = Witness of Schedule.t | Report of Analysis.report | Skipped
+
+(* The pre-search pass on a constrained system and identical platform,
+   the only code that runs the witness stage or the analyzer before a
+   search.  A witness decides a feasible instance outright; otherwise the
+   analyzer, capped at half the remaining wall clock so that it cannot
+   take the search's whole allowance, refutes the instance or prunes its
+   domains.  A cancelled budget skips the pass.  [contained] runs it the
+   way the portfolio runs an arm: behind its failpoint, with a crash
+   returned as [Error]; the sequential paths let exceptions through. *)
+let static_pass ~contained ~analyze ~platform ~budget ts ~m =
+  Telemetry.with_span "static-pass" ~cat:"core" @@ fun () ->
+  if not (analyze && Platform.is_identical platform) || Timer.cancelled budget then Ok Skipped
   else
-    match witness ~budget ts ~m with
-    | Some sched -> `Decided (Encodings.Outcome.Feasible sched)
-    | None -> (
-      match (Analysis.analyze ~wall:budget ts ~m).Analysis.verdict with
-      | Analysis.Infeasible _ -> `Decided Encodings.Outcome.Infeasible
-      | Analysis.Pruned d -> `Search (Some d))
+    let run () =
+      match witness ~budget ts ~m with
+      | Some sched -> Witness sched
+      | None ->
+        let wall =
+          match Timer.remaining_wall budget with
+          | None -> budget
+          | Some s -> Timer.sub ~wall_s:(s /. 2.) budget
+        in
+        Report (Analysis.analyze ~wall ts ~m)
+    in
+    if not contained then Ok (run ())
+    else
+      Resilience.Supervise.protect ~name:Portfolio.analysis_arm_name (fun () ->
+          Telemetry.with_span Portfolio.analysis_arm_name ~cat:"portfolio" (fun () ->
+              Resilience.Failpoint.hit "portfolio.analysis";
+              run ()))
+
+(* The verdict a pass decides, and otherwise the domains it leaves the
+   search; a crashed pass leaves them whole. *)
+let decision = function
+  | Ok (Witness sched) -> `Decided (Feasible sched)
+  | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> `Decided Infeasible
+  | Ok (Report { Analysis.verdict = Analysis.Pruned d; _ }) -> `Search (Some d)
+  | Ok Skipped | Error _ -> `Search None
 
 (* The one verify/clone path behind every entry point.  [search] decides
    a constrained system on a platform and returns its verdict plus
@@ -174,27 +201,83 @@ let verified ~who ~verify ~platform ts search =
     | ((Infeasible | Limit | Memout _) as other), extra -> (other, extra)
   end
 
-(* The static pass under its span, then [search] on what it leaves;
-   [decided] stands in for the search's report when it never runs. *)
+(* The static pass, then [search] on what it leaves; [decided] stands in
+   for the search's report when it never runs. *)
 let after_static_pass ~analyze ~budget ~m ~platform ~decided ts search =
-  match
-    Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-        static_pass ~analyze ~platform ~budget ts ~m)
-  with
+  match decision (static_pass ~contained:false ~analyze ~platform ~budget ts ~m) with
   | `Decided verdict -> (verdict, decided)
   | `Search domains -> search ?domains ts
+
+(* One entry of the portfolio's report, counters zero unless given. *)
+let race_entry ?outcome ?(nodes = 0) ?(fails = 0) ?(time_s = 0.) name status =
+  {
+    Portfolio.name;
+    outcome;
+    stats = Telemetry.Stats.make ~backend:name ~nodes ~fails ~time_s ();
+    winner = (match outcome with Some o -> Encodings.Outcome.is_decided o | None -> false);
+    status;
+  }
+
+(* The portfolio's entry for its pre-search pass: the winner when the pass
+   decides, [Limit] with the statically forced/blocked cells as
+   nodes/fails when it only prunes, the crash when it crashed, and no
+   entry when it was skipped. *)
+let pass_entry pass ~time_s =
+  let ran ?nodes ?fails outcome =
+    Some (race_entry ~outcome ?nodes ?fails ~time_s Portfolio.analysis_arm_name Portfolio.Ran)
+  in
+  match pass with
+  | Ok Skipped -> None
+  | Ok (Witness sched) -> ran (Feasible sched)
+  | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> ran Infeasible
+  | Ok (Report { Analysis.verdict = Analysis.Pruned d; _ }) ->
+    ran ~nodes:(Analysis.Domains.forced_cells d) ~fails:(Analysis.Domains.blocked_cells d) Limit
+  | Error crash ->
+    Some
+      (race_entry Portfolio.analysis_arm_name
+         (Portfolio.Crashed (Resilience.Supervise.crash_message crash)))
+
+let solve_portfolio ?(specs = Portfolio.default_specs) ?jobs ?(budget = Timer.unlimited)
+    ?(seed = 0) ?(verify = true) ?(analyze = true) ?stall_beats ts ~m =
+  let race ~platform cts =
+    let t0 = Timer.start () in
+    let pass = static_pass ~contained:true ~analyze ~platform ~budget cts ~m in
+    let entry = Option.to_list (pass_entry pass ~time_s:(Timer.elapsed t0)) in
+    let verdict, winner, backends =
+      match decision pass with
+      | `Decided verdict ->
+        let not_started spec = race_entry (Portfolio.spec_name spec) Portfolio.Not_started in
+        (verdict, Some Portfolio.analysis_arm_name, entry @ List.map not_started specs)
+      | `Search domains ->
+        let r = Portfolio.solve ~specs ?jobs ~budget ~seed ?stall_beats ?domains cts ~m in
+        (r.Portfolio.verdict, r.Portfolio.winner, entry @ r.Portfolio.backends)
+    in
+    (verdict, { Portfolio.verdict; winner; time_s = Timer.elapsed t0; backends })
+  in
+  let verdict, r =
+    verified ~who:"solve_portfolio" ~verify ~platform:(Platform.identical ~m) ts race
+  in
+  { r with Portfolio.verdict }
 
 let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
     ?(verify = true) ?(analyze = true) ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
   if Platform.processors platform <> m then invalid_arg "Core.solve: platform/m mismatch";
   let t0 = Timer.start () in
-  let verdict, () =
-    verified ~who:"solve" ~verify ~platform ts (fun ~platform ts ->
-        after_static_pass ~analyze ~budget ~m ~platform ~decided:() ts (fun ?domains ts ->
-            ( Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
-                  dispatch solver ~platform ~budget ~seed ?domains ts ~m),
-              () )))
+  let verdict =
+    match solver with
+    | Portfolio jobs when Platform.is_identical platform ->
+      (solve_portfolio ~jobs ~budget ~seed ~verify ~analyze ts ~m).Portfolio.verdict
+    | _ ->
+      (* A heterogeneous platform skips the pass, and [dispatch] rejects it
+         for the portfolio. *)
+      fst
+        (verified ~who:"solve" ~verify ~platform ts (fun ~platform ts ->
+             after_static_pass ~analyze ~budget ~m ~platform ~decided:() ts
+               (fun ?domains ts ->
+                 ( Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
+                       dispatch solver ~platform ~budget ~seed ?domains ts ~m),
+                   () ))))
   in
   (verdict, Timer.elapsed t0)
 
@@ -232,59 +315,6 @@ let feasible ?solver ?budget ts ~m =
   | Feasible _ -> Some true
   | Infeasible -> Some false
   | Limit | Memout _ -> None
-
-(* A witness found before the race decides it.  The portfolio reports it
-   as a win of its static-analysis stage, with every spec unstarted, as it
-   reports an analyzer refutation. *)
-let decided_before_race ~specs verdict ~time_s =
-  let entry name outcome ~time_s ~winner status =
-    {
-      Portfolio.name;
-      outcome;
-      stats = Telemetry.Stats.make ~backend:name ~time_s ();
-      winner;
-      status;
-    }
-  in
-  {
-    Portfolio.verdict;
-    winner = Some Portfolio.analysis_arm_name;
-    time_s;
-    backends =
-      entry Portfolio.analysis_arm_name (Some verdict) ~time_s ~winner:true Portfolio.Ran
-      :: List.map
-           (fun spec ->
-             entry (Portfolio.spec_name spec) None ~time_s:0. ~winner:false
-               Portfolio.Not_started)
-           specs;
-  }
-
-let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verify = true)
-    ?(analyze = true) ?stall_beats ts ~m =
-  (* The witness stage runs before the race, under the portfolio's
-     static-analysis name; the analyzer itself stays the race's arm 0. *)
-  let race ~platform:_ cts =
-    let t0 = Timer.start () in
-    let found =
-      if not analyze then None
-      else
-        Telemetry.with_span Portfolio.analysis_arm_name ~cat:"portfolio" (fun () ->
-            witness ~budget cts ~m)
-    in
-    let r =
-      match found with
-      | Some sched ->
-        decided_before_race
-          ~specs:(Option.value specs ~default:Portfolio.default_specs)
-          (Feasible sched) ~time_s:(Timer.elapsed t0)
-      | None -> Portfolio.solve ?specs ?jobs ~budget ~seed ~analyze ?stall_beats cts ~m
-    in
-    (r.Portfolio.verdict, r)
-  in
-  let verdict, r =
-    verified ~who:"solve_portfolio" ~verify ~platform:(Platform.identical ~m) ts race
-  in
-  { r with Portfolio.verdict }
 
 type min_processors_outcome = Minproc.min_processors_outcome =
   | Exact of int

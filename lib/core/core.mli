@@ -40,7 +40,8 @@ type solver =
   | Local_search  (** Min-conflicts (future work #1); cannot prove infeasibility. *)
   | Portfolio of int
       (** Race the {!Portfolio.default_specs} backends on the given number
-          of domains; first decisive verdict wins, losers are cancelled. *)
+          of domains; first decisive verdict wins, losers are cancelled.
+          Through {!solve} this is {!solve_portfolio}. *)
 
 val default_solver : solver
 (** [Csp2_dedicated DC] — the paper's overall winner. *)
@@ -81,13 +82,18 @@ val solve :
     receive are guaranteed feasible.
 
     [analyze] (default true) runs the pre-search pass first on identical
-    platforms.  Its witness stage simulates global LLF
-    ({!Sched.Sim.llf_witness}): a schedule the simulation proves periodic
-    and {!Rt_model.Verify} accepts returns without any search.  Otherwise
-    the {!Analysis} static pass runs: a certified refutation returns
-    without any search (so even [Local_search] can report [Infeasible]
-    through this path), and otherwise the pruned domains are fed to the
-    chosen backend.  [analyze:false] restores the bare backend.
+    platforms, the same pass for every entry point.  Its witness stage
+    simulates global LLF ({!Sched.Sim.llf_witness}): a schedule the
+    simulation proves periodic and {!Rt_model.Verify} accepts returns
+    without any search.  Otherwise the {!Analysis} static pass runs,
+    capped at half of [budget]'s remaining wall clock: a certified
+    refutation returns without any search (so even [Local_search] can
+    report [Infeasible] through this path), and otherwise the pruned
+    domains are fed to the chosen backend.  A cancelled [budget] skips the
+    pass.  [analyze:false] restores the bare backend.  The pass is not
+    contained here: an exception it raises reaches the caller.
+
+    [Portfolio j] returns {!solve_portfolio}[ ~jobs:j]'s verdict.
 
     Arbitrary-deadline task sets are transparently reduced with the clone
     transform (Section VI-B); the returned schedule then spans the clone
@@ -157,16 +163,17 @@ val solve_portfolio :
   Rt_model.Taskset.t ->
   m:int ->
   Portfolio.result
-(** Like [solve ~solver:(Portfolio jobs)] but returns the full race result
-    — per-backend outcome, node/fail counts, times and the winner — for
-    callers that report statistics ({!Portfolio.summary} renders it as one
-    line).  Unless [analyze:false], the witness stage runs before the
-    race: a verified LLF schedule ends it before any arm starts, reported
-    as a win of the {!Portfolio.analysis_arm_name} stage with every spec
-    unstarted.  Otherwise the static analyzer runs as arm 0 of the race
-    (see {!Portfolio.solve}); [stall_beats] tunes (or,
-    with a non-positive value, disables) the stall watchdog.  Applies the
-    same clone transform and schedule verification as {!solve}; identical
+(** What [solve ~solver:(Portfolio jobs)] runs, returning the full race
+    result — per-backend outcome, node/fail counts, times and the winner —
+    for callers that report statistics ({!Portfolio.summary} renders it as
+    one line).  Unless [analyze:false], {!solve}'s pre-search pass runs
+    first, contained like an arm, and is reported as the first entry,
+    {!Portfolio.analysis_arm_name}: it wins when it decides (every spec
+    then [Not_started]), reads [Limit] with the forced/blocked cells as
+    nodes/fails when it only prunes, and on a crash reads [Crashed] while
+    the race runs on full domains.  [stall_beats] tunes (or, with a
+    non-positive value, disables) the stall watchdog.  Applies the same
+    clone transform and schedule verification as {!solve}; identical
     platforms only. *)
 
 val analyze :

@@ -45,10 +45,11 @@ val csp2_opt : ?nogoods:bool -> ?memo_mb:int -> unit -> solver
 val local_search : solver
 
 val portfolio : ?jobs:int -> unit -> solver
-(** The Domains-based parallel race over {!Portfolio.default_specs};
-    [jobs] defaults to the machine's recommended domain count.  Lets the
-    table reproductions report a portfolio column next to the sequential
-    backends it races. *)
+(** {!Core.solve_portfolio} without schedule verification, like every
+    other column: the pre-search pass, then the Domains-based race over
+    {!Portfolio.default_specs}; [jobs] defaults to the machine's
+    recommended domain count.  Lets the table reproductions report a
+    portfolio column next to the sequential backends it races. *)
 
 type run = {
   outcome : Encodings.Outcome.t;

@@ -92,78 +92,21 @@ type arm_job = {
 }
 
 let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
-    ?(analyze = true) ?(stall_beats = 16.) ?domains ts ~m =
+    ?(stall_beats = 16.) ?domains ts ~m =
   if m < 1 then invalid_arg "Portfolio.solve: m must be >= 1";
   if specs = [] then invalid_arg "Portfolio.solve: empty backend list";
+  (* Every arm would reject mismatched domains as a contained crash, and
+     the race would report [All_arms_crashed] for a caller's mistake. *)
+  (match domains with
+  | Some d
+    when not
+           (Analysis.Domains.matches d ~n:(Rt_model.Taskset.size ts) ~m
+              ~horizon:(Rt_model.Taskset.hyperperiod ts)) ->
+    invalid_arg "Portfolio.solve: domains derived for a different instance"
+  | Some _ | None -> ());
   let race_t0 = Timer.start () in
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  (* Arm 0 is the static analyzer: sequential, capped by its own work-unit
-     budget AND by half the race's wall clock — it either ends the race
-     before it starts or hands every search arm the pruned domains, and a
-     slow interval scan can cost the arms at most half their allowance.
-     [Timer.sub] (not a fresh [Timer.budget]) so the caller's stop flag —
-     and its node/wall limits — stay observable: [Timer.cancel] on the
-     race budget interrupts the analyzer too. *)
-  let analysis_wall =
-    match Timer.remaining_wall budget with
-    | None -> budget (* no wall limit: share the caller's budget as-is *)
-    | Some s -> Timer.sub ~wall_s:(s /. 2.) budget
-  in
-  let pre =
-    match domains with
-    | Some d -> `Race (Some d, None)
-    | None when not analyze -> `Race (None, None)
-    | None when Timer.cancelled budget -> `Race (None, None)
-    | None -> (
-      (* The analyzer is an arm like any other: contained.  A crashing
-         analysis must not take the search arms with it — the race just
-         proceeds without pruned domains. *)
-      let protected =
-        Resilience.Supervise.protect ~name:analysis_arm_name (fun () ->
-            Telemetry.with_span analysis_arm_name ~cat:"portfolio" (fun () ->
-                Resilience.Failpoint.hit "portfolio.analysis";
-                Analysis.analyze ~wall:analysis_wall ts ~m))
-      in
-      match protected with
-      | Error crash ->
-        `Race
-          ( None,
-            Some
-              {
-                name = analysis_arm_name;
-                outcome = None;
-                stats = Telemetry.Stats.make ~backend:analysis_arm_name ();
-                winner = false;
-                status = Crashed (Resilience.Supervise.crash_message crash);
-              } )
-      | Ok report -> (
-        (* For this arm, nodes/fails report what the analysis produced:
-           statically forced cells and statically blocked cells. *)
-        let entry outcome winner ~forced ~blocked =
-          {
-            name = analysis_arm_name;
-            outcome = Some outcome;
-            stats =
-              Telemetry.Stats.make ~backend:analysis_arm_name ~nodes:forced ~fails:blocked
-                ~time_s:report.Analysis.time_s ();
-            winner;
-            status = Ran;
-          }
-        in
-        match report.Analysis.verdict with
-        | Analysis.Infeasible _ ->
-          `Decided
-            ( Encodings.Outcome.Infeasible,
-              entry Encodings.Outcome.Infeasible true ~forced:0 ~blocked:0 )
-        | Analysis.Pruned d ->
-          `Race
-            ( Some d,
-              Some
-                (entry Encodings.Outcome.Limit false
-                   ~forced:(Analysis.Domains.forced_cells d)
-                   ~blocked:(Analysis.Domains.blocked_cells d)) )))
-  in
   let never_started i =
     let name = spec_name specs.(i) in
     {
@@ -174,15 +117,6 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
       status = Not_started;
     }
   in
-  match pre with
-  | `Decided (verdict, arm0) ->
-    {
-      verdict;
-      winner = Some arm0.name;
-      time_s = Timer.elapsed race_t0;
-      backends = arm0 :: List.init n never_started;
-    }
-  | `Race (domains, arm0) ->
   let jobs =
     let requested =
       match jobs with Some j -> j | None -> Parallel.recommended_jobs ()
@@ -315,14 +249,13 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
      included) and none was even cut short by the budget, there is no
      honest verdict to report — surface the typed error instead of a
      fabricated [Limit]. *)
-  let attempts = originals @ retries in
+  let backends = originals @ retries in
   let crashes =
     List.filter_map
       (fun r -> match r.status with Crashed msg -> Some (r.name, msg) | _ -> None)
-      attempts
+      backends
   in
-  if List.length crashes = List.length attempts then raise (All_arms_crashed crashes);
-  let backends = match arm0 with None -> attempts | Some a -> a :: attempts in
+  if List.length crashes = List.length backends then raise (All_arms_crashed crashes);
   (* Arms race on the same instance, so decisive verdicts must agree; a
      Feasible alongside an Infeasible is a solver soundness bug. *)
   List.iter

@@ -15,8 +15,12 @@
     promptly.  [Limit]/[Memout] arms are never winners: a local-search arm
     that gives up does not stop a complete solver mid-proof.
 
-    {b Supervision} (see DESIGN.md §9): every arm — the analyzer
-    included — runs inside a containment wrapper
+    The race is only the race: the pre-search pass (witness stage and
+    static analyzer) belongs to {!Core}, whose {!Core.solve_portfolio}
+    runs it before racing and passes the pruned [domains] in.
+
+    {b Supervision} (see DESIGN.md §9): every arm runs inside a
+    containment wrapper
     ({!Resilience.Supervise.protect}).  A crash ([Out_of_memory] while
     growing a memo, a [Stack_overflow] in a deep subtree, any solver
     bug) is recorded as that arm's {!arm_status} and the race continues;
@@ -54,7 +58,8 @@ type spec =
 val spec_name : spec -> string
 
 val analysis_arm_name : string
-(** ["static-analysis"], the reported name of the analyzer arm. *)
+(** ["static-analysis"]: the name under which {!Core.solve_portfolio}
+    reports, contains and traces its pre-search pass. *)
 
 val default_specs : spec list
 (** [csp2-opt+D-C, csp2+RM, csp1-sat, local-search, csp2+DM, csp2+T-C,
@@ -101,14 +106,15 @@ type result = {
       (** The winner's verdict, or [Limit] when no arm decided
           ([Memout] only when every arm ran out of memory). *)
   winner : string option;
-  time_s : float;  (** Wall clock of the whole race, analysis included. *)
+  time_s : float;
+      (** Wall clock of the whole race; {!Core.solve_portfolio} reports
+          its pre-search pass in it too. *)
   backends : backend_stats list;
-      (** One entry per spec, in spec order, preceded by the
-          {!analysis_arm_name} entry when the analyzer ran and followed by
-          one ["<spec>(retry)"] entry per degraded re-run that started.
-          For the analyzer arm, [nodes]/[fails] report statically
-          forced/blocked cells and a non-decisive pass shows as
-          [Limit]. *)
+      (** One entry per spec, in spec order, followed by one
+          ["<spec>(retry)"] entry per degraded re-run that started.
+          {!Core.solve_portfolio} puts its {!analysis_arm_name} entry
+          first: [nodes]/[fails] report statically forced/blocked cells,
+          and a pass that only prunes shows as [Limit]. *)
 }
 
 val solve :
@@ -116,7 +122,6 @@ val solve :
   ?jobs:int ->
   ?budget:Prelude.Timer.budget ->
   ?seed:int ->
-  ?analyze:bool ->
   ?stall_beats:float ->
   ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
@@ -133,8 +138,8 @@ val solve :
     The caller's [budget] wall/node limits apply to every arm, and so does
     its stop flag: the race installs its own flag for the winner signal,
     but the caller's flag is kept watched ({!Prelude.Timer.with_stop}), so
-    [Timer.cancel] on the original budget stops the analyzer and every
-    arm promptly and the race returns [Limit].  Each arm additionally
+    [Timer.cancel] on the original budget stops every arm promptly and
+    the race returns [Limit].  Each arm additionally
     runs under a private {!Prelude.Timer.fork} of the race budget, which
     is what the stall watchdog ({!Resilience.Watchdog}) cancels: an arm
     whose heartbeats fall silent for more than [stall_beats] ×
@@ -144,18 +149,11 @@ val solve :
     that heartbeat keeps its verdict.  [stall_beats <= 0] disables the
     watchdog.
 
-    Unless [analyze:false], the static analyzer runs first as a sequential
-    arm 0, capped by its own work-unit budget {e and} by half of
-    [budget]'s remaining wall clock ({!Prelude.Timer.sub}, so the caller's
-    limits and stop flag remain in force) — the search arms always keep at
-    least half the allowance: an [Infeasible] certificate ends the race
-    before any search arm starts, and a [Pruned] result hands every arm
-    the reduced domains.  Pass [domains] to supply already-computed facts
-    instead; the analyzer is then skipped.  The witness stage, which
-    decides feasible instances before any analysis, is not part of the
-    race: {!Core.solve_portfolio} runs it first.
+    [domains], when given, seeds every arm's search; the race runs no
+    analyzer of its own.
     @raise Invalid_argument on [m < 1], an empty [specs], or a [domains]
-    fingerprint that does not match the instance.
+    fingerprint that does not match the instance (checked before any arm
+    starts).
     @raise All_arms_crashed when every arm that ran crashed. *)
 
 val summary : result -> string

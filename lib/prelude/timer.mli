@@ -62,8 +62,9 @@ val sub : ?wall_s:float -> ?nodes:int -> budget -> budget
 (** A fresh budget with the given (tighter) limits and its own fresh stop
     flag, which additionally observes every stop flag of the argument:
     cancelling the parent cancels the sub-budget, but not vice versa.
-    This is how the portfolio caps its analyzer arm at half the race's
-    remaining wall clock while keeping it interruptible by the caller. *)
+    This is how the pre-search pass caps the analyzer at half the
+    request's remaining wall clock while keeping it interruptible by the
+    caller. *)
 
 val exceeded : budget -> nodes:int -> bool
 (** [exceeded b ~nodes] is true once either limit is hit or the stop flag

@@ -38,8 +38,8 @@ module Ringcore = Ringcore
 (** The unified per-backend statistics record.  Fields that a backend does
     not track stay [0] ({!Stats.make} defaults): SAT reports decisions as
     [nodes] and conflicts as [fails]; local search reports iterations and
-    restarts; the analysis arm reports statically forced cells as [nodes]
-    and blocked cells as [fails]. *)
+    restarts; the portfolio's static-analysis entry reports statically
+    forced cells as [nodes] and blocked cells as [fails]. *)
 module Stats : sig
   type t = {
     backend : string;  (** Reporting backend, e.g. ["csp2-opt+D-C"]. *)

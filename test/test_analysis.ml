@@ -152,8 +152,8 @@ let test_budget_skip_is_reported () =
 let test_wall_budget_skip_is_reported () =
   (* An already-expired wall budget must stop the window passes at the
      first checkpoint — reported, never silently degraded — so a caller
-     racing the analyzer (portfolio arm 0) cannot lose its whole
-     allowance to a slow interval scan. *)
+     capping the analyzer (the pre-search pass, at half the remaining
+     wall) cannot lose its whole allowance to a slow interval scan. *)
   let ts = Examples.running_example in
   let wall = Prelude.Timer.budget ~wall_s:0.0 () in
   let report = A.analyze ~wall ts ~m:2 in

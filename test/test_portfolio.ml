@@ -26,6 +26,12 @@ let hard_instance () =
   let params = Gen.Generator.default ~n:12 ~m:(Gen.Generator.Fixed_m 4) ~tmax:7 in
   (Gen.Generator.batch ~seed:1 ~count:1 params).(0)
 
+(* [gen -n 10 -m 5 --tmax 7 --seed 24]: feasible, with no LLF witness, and
+   the analyzer only prunes it, so every entry point reaches its search. *)
+let seed24 () =
+  let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
+  (Gen.Generator.batch ~seed:24 ~count:1 params).(0)
+
 let test_feasible_matches_sequential () =
   let r = P.solve running ~m:2 in
   (match r.P.verdict with
@@ -63,13 +69,10 @@ let test_cancellation_prompt () =
   let ts, m = hard_instance () in
   let backstop = if injected () then 5. else 30. in
   let t0 = Prelude.Timer.start () in
-  (* [analyze:false]: this test exercises the race's cancellation
-     machinery, which needs an arm to actually search — the static
-     analyzer would refute the instance before any arm starts. *)
   let r =
     P.solve
       ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ]
-      ~jobs:2 ~analyze:false
+      ~jobs:2
       ~budget:(Prelude.Timer.budget ~wall_s:backstop ())
       ts ~m
   in
@@ -88,11 +91,10 @@ let test_cancellation_prompt () =
   | O.Feasible _ | O.Limit | O.Memout _ -> Alcotest.fail "r > 1: expected an infeasibility proof"
 
 (* Regression: [Timer.cancel] on the race budget must interrupt the whole
-   race — both the analyzer pre-pass (which runs under a [Timer.sub] of
-   the caller's budget, not a disconnected fresh one) and the racing arms
-   (whose [with_stop] budget keeps the caller's flag watched).  Before the
-   fix, a cancel landing after the race installed its internal stop flag
-   was never observed and the race ran to its wall limit. *)
+   race: the racing arms' [with_stop] budget keeps the caller's flag
+   watched.  Before the fix, a cancel landing after the race installed its
+   internal stop flag was never observed and the race ran to its wall
+   limit. *)
 let test_external_cancel_stops_race () =
   let ts, m = hard_instance () in
   let backstop = 30. in
@@ -107,7 +109,7 @@ let test_external_cancel_stops_race () =
         Prelude.Timer.cancel budget)
   in
   let r =
-    match P.solve ~specs:[ P.Local_search ] ~jobs:1 ~analyze:false ~budget ts ~m with
+    match P.solve ~specs:[ P.Local_search ] ~jobs:1 ~budget ts ~m with
     | r -> Some r
     | exception P.All_arms_crashed _ when injected () ->
       (* The injection matrix crashed the only arm of this race before the
@@ -130,12 +132,14 @@ let test_external_cancel_stops_race () =
 
 let test_cancel_before_race_skips_analysis () =
   (* A budget cancelled before the call returns [Limit] without running
-     the analyzer or any arm: every arm reports, none decisive. *)
+     the pre-search pass or any arm: every arm reports, none decisive.
+     The cancel is seen before the pass's failpoint, so an armed
+     [portfolio.analysis] records no crash either. *)
   let ts, m = hard_instance () in
   let budget = Prelude.Timer.budget ~wall_s:30. () in
   Prelude.Timer.cancel budget;
   let t0 = Prelude.Timer.start () in
-  let r = P.solve ~budget ts ~m in
+  let r = Core.solve_portfolio ~budget ts ~m in
   let elapsed = Prelude.Timer.elapsed t0 in
   (match r.P.verdict with
   | O.Limit -> ()
@@ -155,7 +159,6 @@ let test_no_winner_is_limit () =
   let r =
     P.solve
       ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Csp1_sat; P.Local_search ]
-      ~analyze:false
       ~budget:(Prelude.Timer.budget ~nodes:1 ())
       ts ~m
   in
@@ -180,26 +183,33 @@ let test_summary_line () =
   List.iter (fun b -> Alcotest.(check bool) b.P.name true (contains b.P.name)) r.P.backends
 
 let test_static_analysis_arm () =
-  (* Arm 0: a statically refutable instance ends the race before any
-     search arm starts — the analyzer is the winner and every spec shows
-     as never-started. *)
+  (* The pre-search pass: a statically refutable instance ends the race
+     before any search arm starts — the pass is the winner and every spec
+     shows as never-started.  When the injection matrix crashes the pass,
+     the race refutes the instance instead and the crash is on record. *)
   let ts, m = hard_instance () in
-  let r = P.solve ts ~m in
+  let r = Core.solve_portfolio ts ~m in
   (match r.P.verdict with
   | O.Infeasible -> ()
   | O.Feasible _ | O.Limit | O.Memout _ -> Alcotest.fail "r > 1: expected a refutation");
-  check Alcotest.(option string) "analyzer wins" (Some P.analysis_arm_name) r.P.winner;
-  List.iter
-    (fun (b : P.backend_stats) ->
-      if b.P.name <> P.analysis_arm_name then
-        Alcotest.(check bool) (b.P.name ^ " never started") true (b.P.outcome = None))
-    r.P.backends;
-  (* A feasible race still lists the analyzer arm first, non-decisive. *)
-  let r = P.solve running ~m:2 in
+  (match r.P.backends with
+  | stage :: _ when injected () && arm_crashed stage ->
+    check Alcotest.string "the crashed stage is listed first" P.analysis_arm_name stage.P.name
+  | _ ->
+    check Alcotest.(option string) "analyzer wins" (Some P.analysis_arm_name) r.P.winner;
+    List.iter
+      (fun (b : P.backend_stats) ->
+        if b.P.name <> P.analysis_arm_name then
+          Alcotest.(check bool) (b.P.name ^ " never started") true (b.P.outcome = None))
+      r.P.backends);
+  (* A feasible race the pass cannot decide still lists the pass first,
+     non-decisive. *)
+  let ts, m = seed24 () in
+  let r = Core.solve_portfolio ts ~m in
   match r.P.backends with
-  | arm0 :: _ ->
-    check Alcotest.string "arm 0 is the analyzer" P.analysis_arm_name arm0.P.name;
-    Alcotest.(check bool) "non-decisive analysis is not a winner" false arm0.P.winner
+  | stage :: _ ->
+    check Alcotest.string "the pass is listed first" P.analysis_arm_name stage.P.name;
+    Alcotest.(check bool) "non-decisive analysis is not a winner" false stage.P.winner
   | [] -> Alcotest.fail "no backends reported"
 
 let test_invalid_args () =
@@ -207,6 +217,18 @@ let test_invalid_args () =
     (fun () -> ignore (P.solve ~specs:[] running ~m:2));
   Alcotest.check_raises "m = 0" (Invalid_argument "Portfolio.solve: m must be >= 1") (fun () ->
       ignore (P.solve running ~m:0))
+
+(* Another instance's domains are the caller's mistake, rejected before
+   any arm starts — not a contained crash in every arm, which would end
+   in [All_arms_crashed]. *)
+let test_foreign_domains_rejected () =
+  let other, m = hard_instance () in
+  let domains =
+    Analysis.Domains.create ~n:(Taskset.size other) ~m ~horizon:(Taskset.hyperperiod other)
+  in
+  Alcotest.check_raises "domains of another instance"
+    (Invalid_argument "Portfolio.solve: domains derived for a different instance") (fun () ->
+      ignore (P.solve ~jobs:2 ~domains running ~m:2))
 
 (* ------------------------------------------------------------------ *)
 (* Core facade                                                          *)
@@ -229,6 +251,37 @@ let test_core_solve_portfolio_arbitrary_deadlines () =
     let clone_hp = Taskset.hyperperiod (Clone.cloned (Clone.transform ts)) in
     check Alcotest.int "horizon is the clone hyperperiod" clone_hp (Schedule.horizon sched)
   | O.Infeasible | O.Limit | O.Memout _ -> Alcotest.fail "arbitrary-deadline example is feasible"
+
+(* The pre-search pass runs once per request, whatever the entry point:
+   one [static-pass] span each, and none from the bare race.  The node
+   budget only bounds the memo-off search, which cannot decide this
+   instance in seconds. *)
+let test_static_pass_runs_once () =
+  let ts, m = seed24 () in
+  let budget () = Prelude.Timer.budget ~nodes:2000 () in
+  let static_passes f =
+    Telemetry.start ();
+    Fun.protect ~finally:Telemetry.stop f;
+    List.length
+      (List.filter
+         (fun (e : Telemetry.event) -> e.e_ph = `Span && e.e_name = "static-pass")
+         (Telemetry.drain ()))
+  in
+  List.iter
+    (fun (name, expected, f) -> check Alcotest.int name expected (static_passes f))
+    [
+      ("Core.solve", 1, fun () -> ignore (Core.solve ~budget:(budget ()) ts ~m));
+      ( "Core.solve_csp2_opt",
+        1,
+        fun () -> ignore (Core.solve_csp2_opt ~budget:(budget ()) ts ~m) );
+      ( "Core.solve_portfolio",
+        1,
+        fun () -> ignore (Core.solve_portfolio ~jobs:2 ~budget:(budget ()) ts ~m) );
+      ( "Core.solve ~solver:(Portfolio 2)",
+        1,
+        fun () -> ignore (Core.solve ~solver:(Core.Portfolio 2) ~budget:(budget ()) ts ~m) );
+      ("Portfolio.solve", 0, fun () -> ignore (P.solve ~jobs:2 ~budget:(budget ()) ts ~m));
+    ]
 
 let prop_agrees_with_sat =
   qtest ~count:30 "portfolio verdict = CSP1/SAT on random instances"
@@ -272,6 +325,8 @@ let () =
           Alcotest.test_case "static analysis arm" `Quick test_static_analysis_arm;
           Alcotest.test_case "summary line" `Quick test_summary_line;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
+          Alcotest.test_case "foreign domains rejected up front" `Quick
+            test_foreign_domains_rejected;
           Alcotest.test_case "warm races spawn no domain" `Quick
             test_warm_races_spawn_no_domain;
         ] );
@@ -280,6 +335,7 @@ let () =
           Alcotest.test_case "Core.Portfolio solver" `Quick test_core_portfolio_solver;
           Alcotest.test_case "clone transform" `Quick
             test_core_solve_portfolio_arbitrary_deadlines;
+          Alcotest.test_case "static pass runs once" `Quick test_static_pass_runs_once;
           prop_agrees_with_sat;
         ] );
     ]

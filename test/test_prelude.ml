@@ -448,7 +448,7 @@ let test_with_stop_composes () =
   Alcotest.(check bool) "leaf sees root cancel through two levels" true (Timer.cancelled leaf)
 
 (* [Timer.sub] derives a child with fresh limits that still observes every
-   ancestor flag (the portfolio analyzer arm). *)
+   ancestor flag (the analyzer's cap in the pre-search pass). *)
 let test_sub_budget () =
   let parent = Timer.budget ~wall_s:3600. () in
   let child = Timer.sub ~wall_s:1800. parent in

@@ -276,7 +276,7 @@ let injection_specs = [ P.Csp2_opt Csp2.Heuristic.DC; P.Csp2 Csp2.Heuristic.DC; 
 let test_single_crash_contained () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:1 running ~m:2 in
+  let r = P.solve ~specs:injection_specs ~jobs:1 ~seed:1 running ~m:2 in
   (match r.P.verdict with
   | O.Feasible sched ->
     Alcotest.(check bool) "verified" true (Verify.is_feasible running sched)
@@ -293,11 +293,11 @@ let prop_containment_preserves_verdict =
       F.reset ();
       let budget () = Prelude.Timer.budget ~wall_s:5.0 () in
       let baseline =
-        P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:7 ~budget:(budget ()) ts ~m
+        P.solve ~specs:injection_specs ~jobs:1 ~seed:7 ~budget:(budget ()) ts ~m
       in
       F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
       let injected =
-        P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:7 ~budget:(budget ()) ts ~m
+        P.solve ~specs:injection_specs ~jobs:1 ~seed:7 ~budget:(budget ()) ts ~m
       in
       F.reset ();
       let crash_seen = List.exists arm_crashed injected.P.backends in
@@ -312,7 +312,7 @@ let prop_containment_preserves_verdict =
 let test_retry_csp2opt () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:[ P.Csp2_opt Csp2.Heuristic.DC ] ~jobs:1 ~analyze:false running ~m:2 in
+  let r = P.solve ~specs:[ P.Csp2_opt Csp2.Heuristic.DC ] ~jobs:1 running ~m:2 in
   Alcotest.(check bool) "retry decided" true (O.is_feasible r.P.verdict);
   let original = find_arm "csp2-opt+D-C" r in
   Alcotest.(check bool) "original crashed" true (arm_crashed original);
@@ -324,7 +324,7 @@ let test_retry_csp2opt () =
 let test_retry_sat () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 ~analyze:false running ~m:2 in
+  let r = P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 running ~m:2 in
   Alcotest.(check bool) "retry decided" true (O.is_feasible r.P.verdict);
   Alcotest.(check bool) "original crashed" true (arm_crashed (find_arm "csp1-sat" r));
   Alcotest.(check bool) "reseeded retry won" true (find_arm "csp1-sat(retry)" r).P.winner
@@ -334,8 +334,7 @@ let test_all_arms_crashed () =
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
   (* Neither of these specs has a degraded retry: exactly two crashes. *)
   match
-    P.solve ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ] ~jobs:1 ~analyze:false running
-      ~m:2
+    P.solve ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ] ~jobs:1 running ~m:2
   with
   | _ -> Alcotest.fail "expected All_arms_crashed"
   | exception P.All_arms_crashed crashes ->
@@ -347,7 +346,7 @@ let test_retry_capped_at_one () =
   (* An always-firing crash kills the original *and* its one degraded
      retry; the race must then give up typed rather than loop. *)
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  match P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 ~analyze:false running ~m:2 with
+  match P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 running ~m:2 with
   | _ -> Alcotest.fail "expected All_arms_crashed"
   | exception P.All_arms_crashed crashes ->
     let names = List.map fst crashes in
@@ -360,7 +359,7 @@ let test_retry_capped_at_one () =
 let test_analyzer_crash_contained () =
   with_clean_failpoints @@ fun () ->
   F.arm "portfolio.analysis" (F.Raise F.Out_of_memory);
-  let r = P.solve ~jobs:2 running ~m:2 in
+  let r = Core.solve_portfolio ~jobs:2 running ~m:2 in
   Alcotest.(check bool) "race decided without the analyzer" true (O.is_feasible r.P.verdict);
   Alcotest.(check bool) "analyzer crash recorded" true
     (arm_crashed (find_arm P.analysis_arm_name r))
@@ -377,7 +376,7 @@ let test_stall_watchdog_cancels_arm () =
   let r =
     P.solve
       ~specs:[ P.Local_search; P.Csp2 Csp2.Heuristic.DC ]
-      ~jobs:1 ~analyze:false ~stall_beats:3. ts ~m
+      ~jobs:1 ~stall_beats:3. ts ~m
   in
   (match r.P.verdict with
   | O.Infeasible -> ()
