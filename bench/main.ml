@@ -119,7 +119,7 @@ let () =
       print_newline ();
       print_string (Tables.render_bucket_rows (Tables.table3 portfolio_campaign)));
 
-  run_section "ANALYZE (static pre-pass: decision rates, prune volume, csp2 node reduction)"
+  run_section "ANALYZE (static pre-pass: refutations, certificates, m lower bounds)"
     (fun () ->
       print_string (Prepass.render (Prepass.run ~progress:(progress_every 100 "instance") config)));
 

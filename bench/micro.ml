@@ -44,27 +44,19 @@ let csp2_opt_test =
     (Staged.stage (fun () ->
          ignore (Csp2.Opt.solve ~heuristic:Csp2.Heuristic.DC running_example ~m:2)))
 
-(* Instance 54 of the benchmark's tight corpus: no LLF witness, pruned
-   (not refuted) by the analyzer, so a serve miss hands it to the search
-   with these domains; memo off decides it feasible in 426 nodes. *)
+(* Instance 54 of the benchmark's tight corpus: neither the LLF witness
+   nor the analyzer decides it, so a serve miss hands it to the search. *)
 let tight_searched =
-  lazy
-    (let ts =
-       Rt_model.Taskset.of_tuples
-         [
-           (1, 1, 3, 4); (3, 2, 7, 7); (4, 1, 1, 5); (0, 3, 3, 4); (5, 4, 6, 6);
-           (0, 2, 2, 4); (4, 3, 3, 5); (6, 3, 7, 7); (0, 1, 2, 7); (4, 7, 7, 7);
-         ]
-     in
-     match (Analysis.analyze ts ~m:5).Analysis.verdict with
-     | Analysis.Pruned d -> (ts, d)
-     | Analysis.Infeasible _ -> failwith "micro: the tight instance is feasible")
+  Rt_model.Taskset.of_tuples
+    [
+      (1, 1, 3, 4); (3, 2, 7, 7); (4, 1, 1, 5); (0, 3, 3, 4); (5, 4, 6, 6);
+      (0, 2, 2, 4); (4, 3, 3, 5); (6, 3, 7, 7); (0, 1, 2, 7); (4, 7, 7, 7);
+    ]
 
 let csp2_tight_test =
   Test.make ~name:"csp2-dc.solve(tight)"
     (Staged.stage (fun () ->
-         let ts, domains = Lazy.force tight_searched in
-         ignore (Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC ~domains ts ~m:5)))
+         ignore (Csp2.Opt.solve ~memo_mb:0 ~heuristic:Csp2.Heuristic.DC tight_searched ~m:5)))
 
 let ibits_test =
   Test.make ~name:"ibits.iter"

@@ -403,9 +403,8 @@ let analyze_cmd =
         print_endline "certificate: FAILED validation (analyzer bug)";
         1
       end
-    | Analysis.Pruned d ->
-      Format.printf "statically undecided (%.4fs): %a@." report.Analysis.time_s
-        Analysis.Domains.pp d;
+    | Analysis.Undecided ->
+      Printf.printf "statically undecided (%.4fs)\n" report.Analysis.time_s;
       2
   in
   let work_budget =
@@ -418,7 +417,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Run the static schedulability analyzer alone: certified refutation (exit 0) or \
-          pruned domains (exit 2).")
+          undecided (exit 2).")
     Term.(const run $ file_arg $ m_arg $ work_budget)
 
 let minproc_cmd =

@@ -1,10 +1,9 @@
 open Prelude
 open Rt_model
 
-module Domains = Domains
 module Certificate = Certificate
 
-type verdict = Infeasible of Certificate.t | Pruned of Domains.t
+type verdict = Infeasible of Certificate.t | Undecided
 
 type report = {
   verdict : verdict;
@@ -283,38 +282,18 @@ let interval_scan ts windows ?allowed budget ?detect_m () =
   (!bound, !hit)
 
 (* ------------------------------------------------------------------ *)
-(* Post-fixpoint per-slot availability and supply.                      *)
+(* Post-fixpoint supply: Σ_t min(m, tasks still allowed at t).          *)
 
-let availability fx =
-  let avail = Array.make fx.horizon 0 in
+let post_supply fx =
+  let supply = ref 0 in
   for s = 0 to fx.horizon - 1 do
+    let avail = ref 0 in
     for i = 0 to fx.n - 1 do
-      if fx.allowed.(i).(s) then avail.(s) <- avail.(s) + 1
-    done
+      if fx.allowed.(i).(s) then incr avail
+    done;
+    supply := !supply + Int.min fx.m !avail
   done;
-  avail
-
-let post_supply fx avail = Array.fold_left (fun acc a -> acc + Int.min fx.m a) 0 avail
-
-(* ------------------------------------------------------------------ *)
-
-let build_domains fx ~m_lower avail =
-  let d = Domains.create ~n:fx.n ~m:fx.m ~horizon:fx.horizon in
-  for s = 0 to fx.horizon - 1 do
-    Bitset.iter (fun task -> Domains.force d ~task ~time:s) fx.forced.(s);
-    if avail.(s) = 0 then Domains.mark_dead d ~time:s
-  done;
-  if fx.blocked_cells > 0 then begin
-    let jobs = Windows.jobs fx.windows in
-    Array.iter
-      (fun (job : Windows.job) ->
-        Array.iter
-          (fun s -> if not (fx.allowed.(job.task).(s)) then Domains.block d ~task:job.task ~time:s)
-          job.slots)
-      jobs
-  end;
-  Domains.set_m_lower d m_lower;
-  d
+  !supply
 
 let check_args name ts ~m =
   if m < 1 then invalid_arg (name ^ ": m must be >= 1");
@@ -347,11 +326,7 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
       (* Too large to inspect slot-by-slot: report the skip (the old
          slot_capacity_shortfall guard was silent here) and fall back to
          the utilization bound alone. *)
-      finish ~m_lower:u_bound ~skipped:budget.notes
-        (Pruned
-           (let d = Domains.create ~n ~m ~horizon in
-            Domains.set_m_lower d u_bound;
-            d))
+      finish ~m_lower:u_bound ~skipped:budget.notes Undecided
     else begin
       let windows = Windows.build ts in
       let fx = make_fx ts ~m windows in
@@ -362,8 +337,7 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
       | exception Contradiction terminal ->
         finish ~m_lower:!m_low ~skipped:budget.notes (Infeasible (certificate fx terminal))
       | () -> (
-        let avail = availability fx in
-        let cap = post_supply fx avail in
+        let cap = post_supply fx in
         let demand = Taskset.total_demand ts in
         if cap < demand then
           finish ~m_lower:!m_low ~skipped:budget.notes
@@ -385,9 +359,7 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
               (Infeasible
                  (certificate fx
                     (Certificate.Interval_demand { start; len; demand; supply = m * len })))
-          | None ->
-            finish ~m_lower:!m_low ~skipped:budget.notes
-              (Pruned (build_domains fx ~m_lower:!m_low avail))
+          | None -> finish ~m_lower:!m_low ~skipped:budget.notes Undecided
         end)
     end
   end

@@ -8,13 +8,14 @@
     - [Infeasible certificate] — a machine-checkable, pretty-printable
       chain of interval/slot demand arguments ({!Certificate.validate}
       re-verifies it independently);
-    - [Pruned domains] — per-slot forced tasks, blocked cells, dead slots
-      and a lower bound on any feasible [m] ({!Domains}), ready to seed
-      every backend's search.
+    - [Undecided] — no refutation; the search decides.
 
-    The analyzer only refutes and prunes.  Feasible instances are
-    answered before it runs, by the witness stage of {!Core.solve}: a
-    verified global-LLF schedule ({!Sched.Sim.llf_witness}).
+    The analyzer only refutes.  Feasible instances are answered before it
+    runs, by the witness stage of {!Core.solve}: a verified global-LLF
+    schedule ({!Sched.Sim.llf_witness}).  The forced and blocked cells its
+    fixpoint derives serve only the refutation; an undecided instance
+    reaches the search as given (EXPERIMENTS.md, section ANALYZE, shows
+    that handing the cells on changed no backend's verdict).
 
     The passes, in increasing cost order:
 
@@ -44,16 +45,15 @@
     arbitrary deadlines with {!Rt_model.Clone} first (as {!Core.solve}
     does transparently). *)
 
-module Domains = Domains
 module Certificate = Certificate
 
-type verdict = Infeasible of Certificate.t | Pruned of Domains.t
+type verdict = Infeasible of Certificate.t | Undecided
 
 type report = {
   verdict : verdict;
   m_lower : int;
       (** Lower bound on any feasible processor count, from m-independent
-          arguments only (also stored in [Pruned] domains). *)
+          arguments only. *)
   skipped : string list;
       (** Passes not run, with the reason — e.g. a work-budget overrun on a
           Table IV-sized instance.  Empty means the analysis was complete. *)

@@ -65,49 +65,46 @@ type verdict = Encodings.Outcome.t =
   | Limit
   | Memout of string
 
-let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
+let dispatch solver ~platform ~budget ~seed ts ~m =
   let identical = Platform.is_identical platform in
-  (* The heterogeneous fallback for the dedicated engines is {!Csp2.Het},
-     which knows nothing of pruned domains: the analyzer derives them
-     assuming identical unit-speed processors, so silently dropping them
-     would be wrong twice over (the caller computed them for a different
-     machine, and the solver would ignore an argument it was given).
-     Reject loudly instead.  [seed] is genuinely unused on these paths —
-     the dedicated searches are deterministic — so dropping it is fine. *)
-  let het_reject name =
-    if domains <> None then
-      invalid_arg
-        (Printf.sprintf
-           "Core.solve: %s on a heterogeneous platform falls back to Csp2.Het, which \
-            cannot use pruned domains (they assume identical processors)"
-           name)
-  in
+  (* [seed] only feeds the randomized backends: the dedicated searches
+     are deterministic. *)
   match solver with
-  | Csp1_generic -> fst (Encodings.Csp1.solve ~platform ~budget ~seed ?domains ts ~m)
+  | Csp1_generic -> fst (Encodings.Csp1.solve ~platform ~budget ~seed ts ~m)
   | Csp1_sat ->
     if not identical then invalid_arg "Core.solve: Csp1_sat requires an identical platform";
-    fst (Encodings.Csp1_sat.solve ~budget ~seed ?domains ts ~m)
-  | Csp2_generic -> fst (Encodings.Csp2_fd.solve ~platform ~budget ~seed ?domains ts ~m)
+    fst (Encodings.Csp1_sat.solve ~budget ~seed ts ~m)
+  | Csp2_generic -> fst (Encodings.Csp2_fd.solve ~platform ~budget ~seed ts ~m)
   | Csp2_dedicated heuristic ->
-    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ?domains ts ~m)
-    else begin
-      het_reject "Csp2_dedicated";
-      fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
-    end
+    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ts ~m)
+    else fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
   | Csp2_opt heuristic ->
     (* Sequential by default at this level; {!solve_csp2_opt} exposes the
        subtree-splitting knobs and the memo/steal counters. *)
-    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ?domains ts ~m)
-    else begin
-      het_reject "Csp2_opt";
-      fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
-    end
+    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ts ~m)
+    else fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
   | Local_search ->
     if not identical then invalid_arg "Core.solve: Local_search requires an identical platform";
-    fst (Localsearch.Min_conflicts.solve ~seed ~budget ?domains ts ~m)
+    fst (Localsearch.Min_conflicts.solve ~seed ~budget ts ~m)
   | Portfolio jobs ->
     if not identical then invalid_arg "Core.solve: Portfolio requires an identical platform";
-    (Portfolio.solve ~jobs ~budget ~seed ?domains ts ~m).Portfolio.verdict
+    (Portfolio.solve ~jobs ~budget ~seed ts ~m).Portfolio.verdict
+
+(* The admission bound: every stage sizes its tables by n·T or m·T
+   window cells, so an instance over the cap is refused before anything
+   is allocated.  Table IV's largest instance (n = 256, T = 360 360)
+   needs 9.2·10^7 cells.  The products are never formed: n·T overflows
+   [int] on hyperperiods near 10^18. *)
+let max_cells = 100_000_000
+
+let admit ts ~m =
+  let n = Taskset.size ts and t = Taskset.hyperperiod ts in
+  if t > max_cells / Int.max 1 n || t > max_cells / Int.max 1 m then
+    invalid_arg
+      (Printf.sprintf
+         "instance too large: %d tasks on %d processors over a hyperperiod of %d exceed %d \
+          window cells"
+         n m t max_cells)
 
 (* The witness stage: a global-LLF schedule that {!Sched.Sim.llf_witness}
    has verified, or [None].  Skipped when U > m, where no schedule exists
@@ -123,10 +120,11 @@ type pass = Witness of Schedule.t | Report of Analysis.report | Skipped
    the only code that runs the witness stage or the analyzer before a
    search.  A witness decides a feasible instance outright; otherwise the
    analyzer, capped at half the remaining wall clock so that it cannot
-   take the search's whole allowance, refutes the instance or prunes its
-   domains.  A cancelled budget skips the pass.  [contained] runs it the
-   way the portfolio runs an arm: behind its failpoint, with a crash
-   returned as [Error]; the sequential paths let exceptions through. *)
+   take the search's whole allowance, refutes the instance or leaves it
+   to the search.  A cancelled budget skips the pass.  [contained] runs
+   it the way the portfolio runs an arm: behind its failpoint, with a
+   crash returned as [Error]; the sequential paths let exceptions
+   through. *)
 let static_pass ~contained ~analyze ~platform ~budget ts ~m =
   Telemetry.with_span "static-pass" ~cat:"core" @@ fun () ->
   if not (analyze && Platform.is_identical platform) || Timer.cancelled budget then Ok Skipped
@@ -149,13 +147,11 @@ let static_pass ~contained ~analyze ~platform ~budget ts ~m =
               Resilience.Failpoint.hit "portfolio.analysis";
               run ()))
 
-(* The verdict a pass decides, and otherwise the domains it leaves the
-   search; a crashed pass leaves them whole. *)
+(* The verdict a pass decides, if any; a crashed pass decides nothing. *)
 let decision = function
-  | Ok (Witness sched) -> `Decided (Feasible sched)
-  | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> `Decided Infeasible
-  | Ok (Report { Analysis.verdict = Analysis.Pruned d; _ }) -> `Search (Some d)
-  | Ok Skipped | Error _ -> `Search None
+  | Ok (Witness sched) -> Some (Feasible sched)
+  | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> Some Infeasible
+  | Ok (Report { Analysis.verdict = Analysis.Undecided; _ }) | Ok Skipped | Error _ -> None
 
 (* The one verify/clone path behind every entry point.  [search] decides
    a constrained system on a platform and returns its verdict plus
@@ -179,7 +175,9 @@ let verified ~who ~verify ~platform ts search =
           | Error [] -> assert false)
   in
   let check_plain = check "verify" (fun ~platform ts s -> Verify.check ~platform ts s) in
+  let m = Platform.processors platform in
   if Taskset.is_constrained ts then begin
+    admit ts ~m;
     let verdict, extra = search ~platform ts in
     (match verdict with
     | Feasible schedule -> check_plain ~platform ts schedule
@@ -189,6 +187,7 @@ let verified ~who ~verify ~platform ts search =
   else begin
     let reduction = Clone.transform ts in
     let cloned = Clone.cloned reduction in
+    admit cloned ~m;
     let clone_platform = Clone.map_platform reduction platform in
     match search ~platform:clone_platform cloned with
     | Feasible clone_schedule, extra ->
@@ -201,37 +200,32 @@ let verified ~who ~verify ~platform ts search =
     | ((Infeasible | Limit | Memout _) as other), extra -> (other, extra)
   end
 
-(* The static pass, then [search] on what it leaves; [decided] stands in
-   for the search's report when it never runs. *)
+(* The static pass, then [search] unless the pass decided; [decided]
+   stands in for the search's report when it never runs. *)
 let after_static_pass ~analyze ~budget ~m ~platform ~decided ts search =
   match decision (static_pass ~contained:false ~analyze ~platform ~budget ts ~m) with
-  | `Decided verdict -> (verdict, decided)
-  | `Search domains -> search ?domains ts
+  | Some verdict -> (verdict, decided)
+  | None -> search ts
 
-(* One entry of the portfolio's report, counters zero unless given. *)
-let race_entry ?outcome ?(nodes = 0) ?(fails = 0) ?(time_s = 0.) name status =
+(* One entry of the portfolio's report, with zero counters. *)
+let race_entry ?outcome ?(time_s = 0.) name status =
   {
     Portfolio.name;
     outcome;
-    stats = Telemetry.Stats.make ~backend:name ~nodes ~fails ~time_s ();
+    stats = Telemetry.Stats.make ~backend:name ~time_s ();
     winner = (match outcome with Some o -> Encodings.Outcome.is_decided o | None -> false);
     status;
   }
 
 (* The portfolio's entry for its pre-search pass: the winner when the pass
-   decides, [Limit] with the statically forced/blocked cells as
-   nodes/fails when it only prunes, the crash when it crashed, and no
+   decides, [Limit] when it does not, the crash when it crashed, and no
    entry when it was skipped. *)
 let pass_entry pass ~time_s =
-  let ran ?nodes ?fails outcome =
-    Some (race_entry ~outcome ?nodes ?fails ~time_s Portfolio.analysis_arm_name Portfolio.Ran)
-  in
   match pass with
   | Ok Skipped -> None
-  | Ok (Witness sched) -> ran (Feasible sched)
-  | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> ran Infeasible
-  | Ok (Report { Analysis.verdict = Analysis.Pruned d; _ }) ->
-    ran ~nodes:(Analysis.Domains.forced_cells d) ~fails:(Analysis.Domains.blocked_cells d) Limit
+  | Ok (Witness _ | Report _) ->
+    let outcome = Option.value (decision pass) ~default:Limit in
+    Some (race_entry ~outcome ~time_s Portfolio.analysis_arm_name Portfolio.Ran)
   | Error crash ->
     Some
       (race_entry Portfolio.analysis_arm_name
@@ -245,11 +239,11 @@ let solve_portfolio ?(specs = Portfolio.default_specs) ?jobs ?(budget = Timer.un
     let entry = Option.to_list (pass_entry pass ~time_s:(Timer.elapsed t0)) in
     let verdict, winner, backends =
       match decision pass with
-      | `Decided verdict ->
+      | Some verdict ->
         let not_started spec = race_entry (Portfolio.spec_name spec) Portfolio.Not_started in
         (verdict, Some Portfolio.analysis_arm_name, entry @ List.map not_started specs)
-      | `Search domains ->
-        let r = Portfolio.solve ~specs ?jobs ~budget ~seed ?stall_beats ?domains cts ~m in
+      | None ->
+        let r = Portfolio.solve ~specs ?jobs ~budget ~seed ?stall_beats cts ~m in
         (r.Portfolio.verdict, r.Portfolio.winner, entry @ r.Portfolio.backends)
     in
     (verdict, { Portfolio.verdict; winner; time_s = Timer.elapsed t0; backends })
@@ -273,10 +267,9 @@ let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(see
          for the portfolio. *)
       fst
         (verified ~who:"solve" ~verify ~platform ts (fun ~platform ts ->
-             after_static_pass ~analyze ~budget ~m ~platform ~decided:() ts
-               (fun ?domains ts ->
+             after_static_pass ~analyze ~budget ~m ~platform ~decided:() ts (fun ts ->
                  ( Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
-                       dispatch solver ~platform ~budget ~seed ?domains ts ~m),
+                       dispatch solver ~platform ~budget ~seed ts ~m),
                    () ))))
   in
   (verdict, Timer.elapsed t0)
@@ -290,13 +283,13 @@ let solve_csp2_opt ?(heuristic = Csp2.Heuristic.DC) ?(budget = Timer.unlimited)
   let verdict, stats =
     verified ~who:"solve_csp2_opt" ~verify ~platform:(Platform.identical ~m) ts
       (fun ~platform ts ->
-        after_static_pass ~analyze ~budget ~m ~platform ~decided:None ts (fun ?domains ts ->
+        after_static_pass ~analyze ~budget ~m ~platform ~decided:None ts (fun ts ->
             let outcome, stats =
               Telemetry.with_span
                 ("search:csp2-opt+" ^ Csp2.Heuristic.to_string heuristic)
                 ~cat:"core"
                 (fun () ->
-                  Csp2.Opt.solve_parallel ~heuristic ~budget ?domains ?memo_mb ?nogoods ?jobs
+                  Csp2.Opt.solve_parallel ~heuristic ~budget ?memo_mb ?nogoods ?jobs
                     ?split_depth ts ~m)
             in
             (outcome, Some stats)))
@@ -304,11 +297,9 @@ let solve_csp2_opt ?(heuristic = Csp2.Heuristic.DC) ?(budget = Timer.unlimited)
   (verdict, Timer.elapsed t0, stats)
 
 let analyze ?work_budget ts ~m =
-  if Taskset.is_constrained ts then (Analysis.analyze ?work_budget ts ~m, ts)
-  else begin
-    let cloned = Clone.cloned (Clone.transform ts) in
-    (Analysis.analyze ?work_budget cloned ~m, cloned)
-  end
+  let analyzed = if Taskset.is_constrained ts then ts else Clone.cloned (Clone.transform ts) in
+  admit analyzed ~m;
+  (Analysis.analyze ?work_budget analyzed ~m, analyzed)
 
 let feasible ?solver ?budget ts ~m =
   match fst (solve ?solver ?budget ts ~m) with

@@ -88,10 +88,17 @@ val solve :
     without any search.  Otherwise the {!Analysis} static pass runs,
     capped at half of [budget]'s remaining wall clock: a certified
     refutation returns without any search (so even [Local_search] can
-    report [Infeasible] through this path), and otherwise the pruned
-    domains are fed to the chosen backend.  A cancelled [budget] skips the
-    pass.  [analyze:false] restores the bare backend.  The pass is not
+    report [Infeasible] through this path), and otherwise the chosen
+    backend searches the instance as given.  A cancelled [budget] skips
+    the pass.  [analyze:false] restores the bare backend.  The pass is not
     contained here: an exception it raises reaches the caller.
+
+    Every entry point ({!solve}, {!solve_portfolio}, {!solve_csp2_opt},
+    {!analyze}) first checks that [n·T] and [m·T] — for the system it
+    runs on, the clone system under arbitrary deadlines — stay within
+    10{^8} window cells, the size of Table IV's largest instance rounded
+    up, and raises [Invalid_argument "instance too large: ..."] before
+    allocating anything otherwise.
 
     [Portfolio j] returns {!solve_portfolio}[ ~jobs:j]'s verdict.
 
@@ -113,7 +120,6 @@ val dispatch :
   platform:Rt_model.Platform.t ->
   budget:Prelude.Timer.budget ->
   seed:int ->
-  ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
   m:int ->
   verdict
@@ -122,12 +128,10 @@ val dispatch :
     only.  Exposed for callers (and tests) that need to pin the exact
     backend behavior.  [seed] only feeds the randomized backends; the
     dedicated CSP2 searches are deterministic and ignore it.
+    [Csp2_dedicated]/[Csp2_opt] fall back to {!Csp2.Het} on heterogeneous
+    platforms.
     @raise Invalid_argument when the platform is heterogeneous and the
-    solver cannot honor the arguments: [Csp1_sat]/[Local_search]/
-    [Portfolio] require identical platforms outright, and
-    [Csp2_dedicated]/[Csp2_opt] fall back to {!Csp2.Het}, which rejects
-    [domains] — pruned domains are derived assuming identical unit-speed
-    processors and would be unsound on any other machine. *)
+    solver is [Csp1_sat], [Local_search] or [Portfolio]. *)
 
 val solve_csp2_opt :
   ?heuristic:Csp2.Heuristic.t ->
@@ -169,9 +173,9 @@ val solve_portfolio :
     one line).  Unless [analyze:false], {!solve}'s pre-search pass runs
     first, contained like an arm, and is reported as the first entry,
     {!Portfolio.analysis_arm_name}: it wins when it decides (every spec
-    then [Not_started]), reads [Limit] with the forced/blocked cells as
-    nodes/fails when it only prunes, and on a crash reads [Crashed] while
-    the race runs on full domains.  [stall_beats] tunes (or, with a
+    then [Not_started]), reads [Limit] with zero counters when it does
+    not, and on a crash reads [Crashed] while the race runs.
+    [stall_beats] tunes (or, with a
     non-positive value, disables) the stall watchdog.  Applies the same
     clone transform and schedule verification as {!solve}; identical
     platforms only. *)
@@ -181,8 +185,8 @@ val analyze :
 (** The static pass alone, without any search.  Returns the report and the
     task set it refers to: the input itself when its deadlines are
     constrained, the clone system (Section VI-B) otherwise — certificates
-    and domains in the report name {e that} system's task ids and
-    hyperperiod.  [work_budget] as in {!Analysis.analyze}. *)
+    in the report name {e that} system's task ids and hyperperiod.
+    [work_budget] as in {!Analysis.analyze}. *)
 
 type min_processors_outcome = Rt_model.Minproc.min_processors_outcome =
   | Exact of int  (** True minimum: every smaller [m] was refuted. *)

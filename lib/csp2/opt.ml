@@ -446,52 +446,38 @@ type ctx = {
   rank_of : int array;  (* task id -> rank *)
   deadline : int array;
   wcet : int array;
-  domains : Analysis.Domains.t option;
-  usable_after : int array array;  (* [task].(t): unblocked window slots >= t;
-                                      only built (and valid) with domains *)
-  elig : Ibits.t array;  (* per slot, rank space: in-window and unblocked *)
+  offset : int array;  (* per task: O_i mod T_i *)
+  period : int array;
+  first : int array;  (* [i]: global id of task i's job 0; [n]: job count *)
+  last : int array;  (* per global job: un-folded last window slot *)
+  elig : Ibits.t array;  (* per slot, rank space: in-window tasks *)
   elig_built : bool array;  (* lazy build; forced before going parallel *)
 }
 
-(* Remaining window slots of job (task, k) at sweep position [t], counting
-   both parts of a wrapped window (head slots are swept first but belong to
-   the same cyclic job as the tail). *)
-let remaining_slots cx ~task ~k ~t =
-  let release = Jobmap.release cx.jm ~task ~k in
-  let last = release + cx.deadline.(task) - 1 in
-  if last < cx.horizon then last - t + 1
-  else begin
-    (* Wrapped: head covers [0, last - T], tail covers [release, T-1]. *)
-    let head_end = last - cx.horizon in
-    if t <= head_end then head_end - t + 1 + (cx.horizon - release) else cx.horizon - t
-  end
+(* [classify] asks the next two for every available task at every node,
+   so they read flat per-task and per-job arrays and no task record. *)
 
-(* With pruned domains the window arithmetic above over-counts: blocked
-   slots can never serve the job.  [usable_after.(i).(t)] replaces it with
-   the exact count of unblocked window slots at sweep positions >= t, so a
-   statically forced cell (unblocked count = remaining demand) becomes
-   urgent automatically and the urgency invariant [rem <= slots_left] is
-   preserved branch-wide. *)
-let build_usable_after jm deadline domains =
-  let horizon = Jobmap.horizon jm in
-  let n = Array.length deadline in
-  let ua = Array.make_matrix n horizon 0 in
-  for i = 0 to n - 1 do
-    for k = 0 to Jobmap.jobs_of_task jm i - 1 do
-      let release = Jobmap.release jm ~task:i ~k in
-      let slots =
-        List.init deadline.(i) (fun d -> (release + d) mod horizon)
-        |> List.sort_uniq Int.compare (* sweep (= numeric) order; head first *)
-      in
-      let acc = ref 0 in
-      List.iter
-        (fun t ->
-          if not (Analysis.Domains.is_blocked domains ~task:i ~time:t) then incr acc;
-          ua.(i).(t) <- !acc)
-        (List.rev slots)
-    done
-  done;
-  ua
+(* The global job of task [i] at slot [t], for a task available at [t]:
+   job (t - O_i) / T_i when [t] falls in that job's window, and otherwise
+   the task's last job, the only one whose window wraps past T. *)
+let job_at cx ~i ~t =
+  let rel = t - cx.offset.(i) in
+  if rel >= 0 then begin
+    let k = rel / cx.period.(i) in
+    if rel - (k * cx.period.(i)) < cx.deadline.(i) then cx.first.(i) + k
+    else cx.first.(i + 1) - 1
+  end
+  else cx.first.(i + 1) - 1
+
+(* Remaining window slots of job [g] of task [i] at sweep position [t].
+   A wrapped window's head [0, last - T] is swept before its tail
+   [release, T - 1], so in the head the job has D - t slots left and in
+   the tail T - t. *)
+let remaining_slots cx ~i ~g ~t =
+  let last = cx.last.(g) in
+  if last < cx.horizon then last - t + 1
+  else if t <= last - cx.horizon then cx.deadline.(i) - t
+  else cx.horizon - t
 
 (* Per-domain context scratch: the eligibility bitsets are the one
    per-slot allocation [make_ctx] pays, and they are a pure function of
@@ -512,17 +498,23 @@ type ctx_scratch = {
 let new_ctx_scratch () = { sc_n = -1; sc_elig = [||]; sc_elig_built = [||] }
 let ctx_scratch_slot : ctx_scratch Domain.DLS.key = Domain.DLS.new_key new_ctx_scratch
 
-let make_ctx ~heuristic ?domains ts ~m =
+let make_ctx ~heuristic ts ~m =
   if m < 1 then invalid_arg "Csp2.Opt.solve: m must be >= 1";
   let jm = Jobmap.create ts in
   let n = Taskset.size ts in
   let horizon = Jobmap.horizon jm in
-  (match domains with
-  | Some d when not (Analysis.Domains.matches d ~n ~m ~horizon) ->
-    invalid_arg "Csp2.Opt.solve: domains derived for a different instance"
-  | _ -> ());
-  let wcet = Array.init n (fun i -> (Taskset.task ts i).wcet) in
-  let deadline = Array.init n (fun i -> (Taskset.task ts i).deadline) in
+  let task i = Taskset.task ts i in
+  let wcet = Array.init n (fun i -> (task i).wcet) in
+  let deadline = Array.init n (fun i -> (task i).deadline) in
+  let first =
+    Array.init (n + 1) (fun i -> if i = n then Jobmap.job_count jm else Jobmap.first_of_task jm i)
+  in
+  let last = Array.make first.(n) 0 in
+  for i = 0 to n - 1 do
+    for k = 0 to Jobmap.jobs_of_task jm i - 1 do
+      last.(first.(i) + k) <- Jobmap.window_last jm ~task:i ~k
+    done
+  done;
   let sc = Domain.DLS.get ctx_scratch_slot in
   if sc.sc_n <> n || Array.length sc.sc_elig < horizon then begin
     sc.sc_n <- n;
@@ -539,9 +531,10 @@ let make_ctx ~heuristic ?domains ts ~m =
     rank_of = Heuristic.rank heuristic ts;
     deadline;
     wcet;
-    domains;
-    usable_after =
-      (match domains with Some d -> build_usable_after jm deadline d | None -> [||]);
+    offset = Array.init n (fun i -> Jobmap.release jm ~task:i ~k:0);
+    period = Array.init n (fun i -> (task i).period);
+    first;
+    last;
     elig = sc.sc_elig;
     elig_built = sc.sc_elig_built;
   }
@@ -563,14 +556,7 @@ let build_elig cx t =
   let set = cx.elig.(t) in
   Ibits.clear set;
   for i = 0 to cx.n - 1 do
-    if Jobmap.local_job_at cx.jm ~task:i ~time:t >= 0 then begin
-      let blocked =
-        match cx.domains with
-        | None -> false
-        | Some d -> Analysis.Domains.is_blocked d ~task:i ~time:t
-      in
-      if not blocked then Ibits.set set cx.rank_of.(i)
-    end
+    if Jobmap.local_job_at cx.jm ~task:i ~time:t >= 0 then Ibits.set set cx.rank_of.(i)
   done;
   cx.elig_built.(t) <- true
 
@@ -848,9 +834,9 @@ let prune_entry s t =
   | _ -> false
 
 (* Availability in heuristic (= rank) order, straight off the packed
-   eligibility word for the slot: blocked and out-of-window tasks never
-   enter the loop, and the free/urgent split lands in reused buffers as
-   the available tasks' current jobs. *)
+   eligibility word for the slot: out-of-window tasks never enter the
+   loop, and the free/urgent split lands in reused buffers as the
+   available tasks' current jobs. *)
 let classify s t =
   s.free_n <- 0;
   s.urgent_n <- 0;
@@ -864,14 +850,9 @@ let classify s t =
       let r = base + Ibits.lowest_bit_index !bits in
       bits := !bits land (!bits - 1);
       let i = s.cx.by_rank.(r) in
-      let k = Jobmap.local_job_at s.cx.jm ~task:i ~time:t in
-      let g = Jobmap.first_of_task s.cx.jm i + k in
+      let g = job_at s.cx ~i ~t in
       if s.rem.(g) > 0 then begin
-        let slots_left =
-          match s.cx.domains with
-          | None -> remaining_slots s.cx ~task:i ~k ~t
-          | Some _ -> s.cx.usable_after.(i).(t)
-        in
+        let slots_left = remaining_slots s.cx ~i ~g ~t in
         if not s.urgency then begin
           (* No urgency forcing: every available task is a free choice,
              and a job in its last usable slot must finish in it. *)
@@ -1163,13 +1144,13 @@ let to_stats ~backend (st : stats) =
 (* Phase-0 probe: a static node-count estimate.
 
    Branching at slot [t] is at most C(|elig(t)|, min m |elig(t)|); the
-   product over the horizon (saturating, pruned domains already folded
-   into [elig]) bounds the tree size of the *unpruned* search.  When even
-   that bound is small, parallel setup can never pay for itself and the
-   solve stays on the sequential path.  The estimate errs on the large
-   side (it ignores urgency propagation, the capacity bound and the
-   memo), so the follow-up bounded sequential burst — not this number —
-   is what keeps moderately sized instances sequential. *)
+   product over the horizon (saturating) bounds the tree size of the
+   *unpruned* search.  When even that bound is small, parallel setup can
+   never pay for itself and the solve stays on the sequential path.  The
+   estimate errs on the large side (it ignores urgency propagation, the
+   capacity bound and the memo), so the follow-up bounded sequential
+   burst — not this number — is what keeps moderately sized instances
+   sequential. *)
 
 let est_saturated = 1 lsl 40
 
@@ -1209,14 +1190,14 @@ let run_sequential s =
   | R_exhausted -> Encodings.Outcome.Infeasible
   | R_stopped -> Encodings.Outcome.Limit
 
-let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?domains
+let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited)
     ?(memo_mb = default_memo_mb) ?(nogoods = true) ?(urgency = true) ts ~m =
   (* The memo and nogood soundness arguments (DESIGN §7b/§7c) rest on
      the urgency invariant rem <= remaining window slots. *)
   if (not urgency) && memo_mb > 0 then
     invalid_arg "Csp2.Opt.solve: urgency:false requires memo_mb <= 0";
   let t0 = Timer.start () in
-  let cx = make_ctx ~heuristic ?domains ts ~m in
+  let cx = make_ctx ~heuristic ts ~m in
   let s = acquire cx ~budget ~memo_mb ~nogoods ~urgency in
   Fun.protect ~finally:(fun () -> release s) @@ fun () ->
   let outcome = run_sequential s in
@@ -1238,11 +1219,11 @@ let load_item s it =
   s.hash <- it.w_hash;
   s.total_rem <- it.w_total
 
-let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?domains
+let solve_parallel ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited)
     ?(memo_mb = default_memo_mb) ?(nogoods = true) ?jobs ?split_depth
     ?(probe_nodes = default_probe_nodes) ts ~m =
   let t0 = Timer.start () in
-  let cx = make_ctx ~heuristic ?domains ts ~m in
+  let cx = make_ctx ~heuristic ts ~m in
   let jobs =
     match jobs with Some j -> Int.max 1 j | None -> Parallel.recommended_jobs ()
   in

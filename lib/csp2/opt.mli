@@ -71,7 +71,7 @@
     In every configuration:
 
     - {b packed eligibility}: per-slot candidate sets live in {!Prelude.Ibits}
-      words (in-window and not statically blocked, in heuristic-rank space),
+      words (in-window tasks, in heuristic-rank space),
       so classifying a slot walks set bits instead of all [n] tasks, and the
       per-node hot path allocates nothing (reused buffers, one max-sized
       combination cursor per frame advanced with {!Prelude.Combi.next_k});
@@ -144,7 +144,6 @@ val reset_caches : unit -> unit
 val solve :
   ?heuristic:Heuristic.t ->
   ?budget:Prelude.Timer.budget ->
-  ?domains:Analysis.Domains.t ->
   ?memo_mb:int ->
   ?nogoods:bool ->
   ?urgency:bool ->
@@ -165,23 +164,15 @@ val solve :
     tried, each attempt counting as a node — but far weaker, which is the
     regime where the paper's value-ordering comparison (CSP2 vs
     +RM/+DM/+(T−C)/+(D−C)) becomes visible; the benchmark ablation uses
-    it for exactly that.
-
-    [domains] seeds the search with the static analyzer's facts: blocked
-    cells leave the candidate sets, and remaining-window counts become
-    blocked-aware, which turns statically forced cells into urgent ones.
-    Since the facts hold in every feasible schedule, completeness is
-    unaffected.  [Memout] is never returned.
+    it for exactly that.  [Memout] is never returned.
     @raise Invalid_argument on non-constrained-deadline task sets (apply
-    {!Rt_model.Clone} first), [m < 1], [domains] whose (n, m, hyperperiod)
-    fingerprint does not match the instance, or [urgency:false] with
+    {!Rt_model.Clone} first), [m < 1], or [urgency:false] with
     [memo_mb > 0] (the memo and nogood soundness arguments assume
     urgency). *)
 
 val solve_parallel :
   ?heuristic:Heuristic.t ->
   ?budget:Prelude.Timer.budget ->
-  ?domains:Analysis.Domains.t ->
   ?memo_mb:int ->
   ?nogoods:bool ->
   ?jobs:int ->

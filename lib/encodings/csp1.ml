@@ -14,25 +14,12 @@ let engine t = t.eng
 
 let var t ~task ~proc ~time = t.vars.(task).(proc).(time)
 
-let build ?platform ?(var_budget = 2_000_000) ?domains ts ~m =
+let build ?platform ?(var_budget = 2_000_000) ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
   if Platform.processors platform <> m then invalid_arg "Csp1.build: platform/m mismatch";
   let windows = Windows.build ts in
   let n = Taskset.size ts in
   let horizon = Windows.horizon windows in
-  let domains =
-    match domains with
-    | None -> None
-    | Some d ->
-      if not (Platform.is_identical platform) then
-        invalid_arg "Csp1.build: domains require an identical platform";
-      if not (Analysis.Domains.matches d ~n ~m ~horizon) then
-        invalid_arg "Csp1.build: domains derived for a different instance";
-      Some d
-  in
-  let blocked i s =
-    match domains with None -> false | Some d -> Analysis.Domains.is_blocked d ~task:i ~time:s
-  in
   (* Refuse models beyond the budget before allocating anything: this is
      the moral equivalent of Choco's OOM on Table IV instances. *)
   let requested = n * m * horizon in
@@ -51,9 +38,7 @@ let build ?platform ?(var_budget = 2_000_000) ?domains ts ~m =
         Array.init m (fun j ->
             Array.init horizon (fun s ->
                 let feasible_cell =
-                  in_window.(i).(s)
-                  && Platform.can_run platform ~task:i ~proc:j
-                  && not (blocked i s)
+                  in_window.(i).(s) && Platform.can_run platform ~task:i ~proc:j
                 in
                 let hi = if feasible_cell then 1 else 0 in
                 E.new_var eng ~name:(Printf.sprintf "x_%d_%d_%d" i j s) ~lo:0 ~hi ())))
@@ -74,18 +59,6 @@ let build ?platform ?(var_budget = 2_000_000) ?domains ts ~m =
       end
     done
   done;
-  (* Statically forced cells: the task runs on exactly one processor in
-     that slot in every feasible schedule. *)
-  (match domains with
-  | None -> ()
-  | Some d ->
-    for s = 0 to horizon - 1 do
-      List.iter
-        (fun i ->
-          let scope = Array.init m (fun j -> vars.(i).(j).(s)) in
-          ignore (Fd.Constraints.bool_sum_eq eng scope 1))
-        (Analysis.Domains.forced_at d ~time:s)
-    done);
   (* (5)/(11): exact demand per job. *)
   Array.iter
     (fun (job : Windows.job) ->
@@ -125,9 +98,9 @@ let decode t valuation =
   done;
   sched
 
-let solve ?platform ?var_budget ?domains ?var_heuristic ?value_heuristic ?seed ?budget
-    ?restarts ts ~m =
-  match build ?platform ?var_budget ?domains ts ~m with
+let solve ?platform ?var_budget ?var_heuristic ?value_heuristic ?seed ?budget ?restarts ts
+    ~m =
+  match build ?platform ?var_budget ts ~m with
   | exception E.Too_large reason -> (Outcome.Memout reason, None)
   | model ->
     (* Default to the cheap chronological variable scan with randomized

@@ -21,7 +21,6 @@ type t
 val build :
   ?platform:Rt_model.Platform.t ->
   ?var_budget:int ->
-  ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
   m:int ->
   t
@@ -42,7 +41,6 @@ val decode : t -> (Fd.Engine.var -> int) -> Rt_model.Schedule.t
 val solve :
   ?platform:Rt_model.Platform.t ->
   ?var_budget:int ->
-  ?domains:Analysis.Domains.t ->
   ?var_heuristic:Fd.Search.var_heuristic ->
   ?value_heuristic:Fd.Search.value_heuristic ->
   ?seed:int ->

@@ -13,39 +13,43 @@ type t = {
 let solver t = t.solver
 let cell_count t = t.cell_count
 
-let build ?(var_budget = 2_000_000) ?domains ts ~m =
+(* Raised by the builder's budget poll. *)
+exception Stopped
+
+(* On the paper's instances the CNF can take longer to build than a
+   caller's whole wall budget, so the builder polls [poll] once per task
+   (and once per processor row of constraint (3)), as the search polls
+   its budget per node. *)
+let build_polled ~poll ?(var_budget = 2_000_000) ts ~m =
   let windows = Windows.build ts in
   let n = Taskset.size ts in
   let horizon = Windows.horizon windows in
-  (match domains with
-  | Some d when not (Analysis.Domains.matches d ~n ~m ~horizon) ->
-    invalid_arg "Csp1_sat.build: domains derived for a different instance"
-  | _ -> ());
-  let blocked i s =
-    match domains with None -> false | Some d -> Analysis.Domains.is_blocked d ~task:i ~time:s
-  in
   if n * m * horizon > var_budget then
     raise
       (Fd.Engine.Too_large
          (Printf.sprintf "CSP1-SAT needs %d cells (budget %d)" (n * m * horizon) var_budget));
+  poll ();
   let solver = S.create () in
   let cell = Array.init n (fun _ -> Array.make_matrix m horizon (-1)) in
-  (* Variables only where constraint (2) allows a 1; statically blocked
-     cells never get a variable at all (all processors of a slot share the
-     created/absent status, which constraint (4) below relies on). *)
-  Array.iter
-    (fun (job : Windows.job) ->
-      Array.iter
-        (fun s ->
-          if not (blocked job.task s) then
+  (* Variables only where constraint (2) allows a 1: every processor of a
+     slot shares the created/absent status, which constraint (4) below
+     relies on. *)
+  for i = 0 to n - 1 do
+    poll ();
+    Array.iter
+      (fun (job : Windows.job) ->
+        Array.iter
+          (fun s ->
             for j = 0 to m - 1 do
-              cell.(job.task).(j).(s) <- S.new_var solver
+              cell.(i).(j).(s) <- S.new_var solver
             done)
-        job.slots)
-    (Windows.jobs windows);
+          job.slots)
+      (Windows.jobs_of_task windows i)
+  done;
   let cell_count = S.nvars solver in
   (* (3): at most one task per (processor, slot). *)
   for j = 0 to m - 1 do
+    poll ();
     for s = 0 to horizon - 1 do
       let lits = ref [] in
       for i = 0 to n - 1 do
@@ -56,6 +60,7 @@ let build ?(var_budget = 2_000_000) ?domains ts ~m =
   done;
   (* (4): at most one processor per (task, slot). *)
   for i = 0 to n - 1 do
+    poll ();
     for s = 0 to horizon - 1 do
       if cell.(i).(0).(s) >= 0 then begin
         let lits = List.init m (fun j -> S.pos cell.(i).(j).(s)) in
@@ -64,32 +69,24 @@ let build ?(var_budget = 2_000_000) ?domains ts ~m =
     done
   done;
   (* (5): exactly C_i per job (over the cells that exist). *)
-  Array.iter
-    (fun (job : Windows.job) ->
-      let wcet = (Taskset.task ts job.task).wcet in
-      let lits = ref [] in
-      Array.iter
-        (fun s ->
-          for j = 0 to m - 1 do
-            if cell.(job.task).(j).(s) >= 0 then
-              lits := S.pos cell.(job.task).(j).(s) :: !lits
-          done)
-        job.slots;
-      Sat.Cardinality.exactly solver ~k:wcet !lits)
-    (Windows.jobs windows);
-  (* Statically forced cells: at least one processor runs the task there
-     (constraint (4) already caps it at one). *)
-  (match domains with
-  | None -> ()
-  | Some d ->
-    for s = 0 to horizon - 1 do
-      List.iter
-        (fun i ->
-          if cell.(i).(0).(s) >= 0 then
-            S.add_clause solver (List.init m (fun j -> S.pos cell.(i).(j).(s))))
-        (Analysis.Domains.forced_at d ~time:s)
-    done);
+  for i = 0 to n - 1 do
+    poll ();
+    let wcet = (Taskset.task ts i).wcet in
+    Array.iter
+      (fun (job : Windows.job) ->
+        let lits = ref [] in
+        Array.iter
+          (fun s ->
+            for j = 0 to m - 1 do
+              if cell.(i).(j).(s) >= 0 then lits := S.pos cell.(i).(j).(s) :: !lits
+            done)
+          job.slots;
+        Sat.Cardinality.exactly solver ~k:wcet !lits)
+      (Windows.jobs_of_task windows i)
+  done;
   { solver; ts; m; horizon; cell; cell_count }
+
+let build ?var_budget ts ~m = build_polled ~poll:ignore ?var_budget ts ~m
 
 let to_dimacs t =
   { Sat.Dimacs.num_vars = S.nvars t.solver; clauses = S.export_clauses t.solver }
@@ -107,11 +104,13 @@ let decode t model =
   done;
   sched
 
-let solve ?var_budget ?domains ?seed ?budget ts ~m =
-  match build ?var_budget ?domains ts ~m with
+let solve ?var_budget ?seed ?(budget = Prelude.Timer.unlimited) ts ~m =
+  let poll () = if Prelude.Timer.exceeded budget ~nodes:0 then raise Stopped in
+  match build_polled ~poll ?var_budget ts ~m with
   | exception Fd.Engine.Too_large reason -> (Outcome.Memout reason, None)
+  | exception Stopped -> (Outcome.Limit, None)
   | model ->
-    let outcome, stats = S.solve ?budget ?seed model.solver in
+    let outcome, stats = S.solve ~budget ?seed model.solver in
     let verdict =
       match outcome with
       | S.Sat assignment -> Outcome.Feasible (decode model assignment)

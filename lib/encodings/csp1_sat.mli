@@ -12,8 +12,7 @@
 
 type t
 
-val build :
-  ?var_budget:int -> ?domains:Analysis.Domains.t -> Rt_model.Taskset.t -> m:int -> t
+val build : ?var_budget:int -> Rt_model.Taskset.t -> m:int -> t
 (** @raise Fd.Engine.Too_large when the cell count exceeds the budget
     (same cliff semantics as {!Csp1.build}). *)
 
@@ -29,9 +28,12 @@ val decode : t -> bool array -> Rt_model.Schedule.t
 
 val solve :
   ?var_budget:int ->
-  ?domains:Analysis.Domains.t ->
   ?seed:int ->
   ?budget:Prelude.Timer.budget ->
   Rt_model.Taskset.t ->
   m:int ->
   Outcome.t * Sat.Solver.stats option
+(** Build then search.  The build polls [budget] once per task, before
+    the first clause and between tasks; when a poll fires, the rest of the
+    CNF is not built and the result is [(Limit, None)].  [Memout] (stats
+    [None]) when the model exceeds [var_budget]. *)

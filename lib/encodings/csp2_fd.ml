@@ -12,59 +12,27 @@ let engine t = t.eng
 let horizon t = t.horizon
 let var t ~proc ~time = t.vars.(proc).(time)
 
-(* Static domains are derived for identical unit-rate platforms; accepting
-   them alongside a heterogeneous platform would smuggle unsound facts into
-   the model. *)
-let checked_domains name platform domains ~n ~m ~horizon =
-  match domains with
-  | None -> None
-  | Some d ->
-    if not (Platform.is_identical platform) then
-      invalid_arg (name ^ ": domains require an identical platform");
-    if not (Analysis.Domains.matches d ~n ~m ~horizon) then
-      invalid_arg (name ^ ": domains derived for a different instance");
-    Some d
-
-let build ?platform ?(symmetry = true) ?(var_budget = 2_000_000) ?domains ts ~m =
+let build ?platform ?(symmetry = true) ?(var_budget = 2_000_000) ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
   if Platform.processors platform <> m then invalid_arg "Csp2_fd.build: platform/m mismatch";
   let windows = Windows.build ts in
   let n = Taskset.size ts in
   let horizon = Windows.horizon windows in
-  let domains = checked_domains "Csp2_fd.build" platform domains ~n ~m ~horizon in
   let requested = m * horizon in
   if requested > var_budget then
     raise (E.Too_large (Printf.sprintf "CSP2 needs %d variables (budget %d)" requested var_budget));
   let eng = E.create ~var_budget () in
-  let blocked i s =
-    match domains with None -> false | Some d -> Analysis.Domains.is_blocked d ~task:i ~time:s
-  in
   (* (7) + heterogeneity: domain of x_j(t) = {-1} ∪ available tasks with
-     positive rate on P_j, minus statically blocked cells. *)
+     positive rate on P_j. *)
   let avail = Array.init horizon (fun s -> Windows.available_tasks windows ~time:s) in
   let vars =
     Array.init m (fun j ->
         Array.init horizon (fun s ->
             let runnable =
-              List.filter
-                (fun i -> Platform.can_run platform ~task:i ~proc:j && not (blocked i s))
-                avail.(s)
+              List.filter (fun i -> Platform.can_run platform ~task:i ~proc:j) avail.(s)
             in
             E.new_var_of eng ~name:(Printf.sprintf "x_%d_%d" j s) (-1 :: runnable)))
   in
-  (* Statically forced cells: the task occupies exactly one processor in
-     that slot (sound in every feasible schedule, so the solution set is
-     unchanged while whole branches disappear). *)
-  (match domains with
-  | None -> ()
-  | Some d ->
-    for s = 0 to horizon - 1 do
-      List.iter
-        (fun i ->
-          let scope = Array.init m (fun j -> vars.(j).(s)) in
-          ignore (Fd.Constraints.count_eq eng scope ~value:i 1))
-        (Analysis.Domains.forced_at d ~time:s)
-    done);
   (* (8): per slot, non-idle values pairwise distinct. *)
   for s = 0 to horizon - 1 do
     let scope = Array.init m (fun j -> vars.(j).(s)) in
@@ -111,9 +79,9 @@ let decode t valuation =
   done;
   sched
 
-let solve ?platform ?symmetry ?var_budget ?domains ?var_heuristic ?value_heuristic ?seed
-    ?budget ?restarts ts ~m =
-  match build ?platform ?symmetry ?var_budget ?domains ts ~m with
+let solve ?platform ?symmetry ?var_budget ?var_heuristic ?value_heuristic ?seed ?budget
+    ?restarts ts ~m =
+  match build ?platform ?symmetry ?var_budget ts ~m with
   | exception E.Too_large reason -> (Outcome.Memout reason, None)
   | model ->
     let result =

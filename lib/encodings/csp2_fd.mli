@@ -23,7 +23,6 @@ val build :
   ?platform:Rt_model.Platform.t ->
   ?symmetry:bool ->
   ?var_budget:int ->
-  ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
   m:int ->
   t
@@ -39,7 +38,6 @@ val solve :
   ?platform:Rt_model.Platform.t ->
   ?symmetry:bool ->
   ?var_budget:int ->
-  ?domains:Analysis.Domains.t ->
   ?var_heuristic:Fd.Search.var_heuristic ->
   ?value_heuristic:Fd.Search.value_heuristic ->
   ?seed:int ->

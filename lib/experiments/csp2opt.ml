@@ -102,7 +102,7 @@ let run ?(progress = fun _ -> ()) ?jobs (config : Config.t) =
       let searched =
         match (Analysis.analyze ts ~m).Analysis.verdict with
         | Analysis.Infeasible _ -> false
-        | Analysis.Pruned _ -> true
+        | Analysis.Undecided -> true
       in
       if searched then begin
         searched_instances := (ts, m) :: !searched_instances;

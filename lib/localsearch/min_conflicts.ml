@@ -53,15 +53,9 @@ type state = {
   mutable cost : int;
   rng : Prng.t;
   dc_order : int array;
-  domains : Analysis.Domains.t option;
 }
 
 let job_at st ~task ~time = Windows.job_id_at st.windows ~task ~time
-
-let blocked st ~task ~time =
-  match st.domains with
-  | None -> false
-  | Some d -> Analysis.Domains.is_blocked d ~task ~time
 
 let cost_term st g = abs (st.received.(g) - st.wcet_of_job.(g))
 
@@ -111,26 +105,12 @@ let greedy_init st =
   done;
   for t = 0 to st.horizon - 1 do
     let next_proc = ref 0 in
-    (* Statically forced tasks go in first: the analyzer proved every
-       feasible schedule runs them here, so a start state honoring them is
-       never further from a solution. *)
-    (match st.domains with
-    | None -> ()
-    | Some d ->
-      List.iter
-        (fun i ->
-          if !next_proc < st.m then begin
-            set_cell st ~proc:!next_proc ~time:t i;
-            incr next_proc
-          end)
-        (Analysis.Domains.forced_at d ~time:t));
     Array.iter
       (fun i ->
         if
           !next_proc < st.m
           && job_at st ~task:i ~time:t >= 0
-          && (not (Bitset.mem st.present.(t) i))
-          && not (blocked st ~task:i ~time:t)
+          && not (Bitset.mem st.present.(t) i)
         then begin
           let g = job_at st ~task:i ~time:t in
           if st.received.(g) < st.wcet_of_job.(g) then begin
@@ -141,16 +121,11 @@ let greedy_init st =
       st.dc_order
   done
 
-let solve ?(seed = 0) ?(noise = 0.08) ?(budget = Timer.unlimited) ?restart_every ?domains ts
-    ~m =
+let solve ?(seed = 0) ?(noise = 0.08) ?(budget = Timer.unlimited) ?restart_every ts ~m =
   let t0 = Timer.start () in
   let windows = Windows.build ts in
   let n = Taskset.size ts in
   let horizon = Windows.horizon windows in
-  (match domains with
-  | Some d when not (Analysis.Domains.matches d ~n ~m ~horizon) ->
-    invalid_arg "Min_conflicts.solve: domains derived for a different instance"
-  | _ -> ());
   let job_count = Windows.job_count windows in
   let wcet_of_job =
     Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) (Windows.jobs windows)
@@ -168,7 +143,6 @@ let solve ?(seed = 0) ?(noise = 0.08) ?(budget = Timer.unlimited) ?restart_every
       cost = 0;
       rng = Prng.create ~seed;
       dc_order = Csp2.Heuristic.order Csp2.Heuristic.DC ts;
-      domains;
     }
   in
   (* All jobs start unserved. *)
@@ -223,8 +197,7 @@ let solve ?(seed = 0) ?(noise = 0.08) ?(budget = Timer.unlimited) ?restart_every
           let slots =
             Array.of_list
               (List.filter
-                 (fun t ->
-                   (not (Bitset.mem st.present.(t) i)) && not (blocked st ~task:i ~time:t))
+                 (fun t -> not (Bitset.mem st.present.(t) i))
                  (Array.to_list job.Windows.slots))
           in
           if Array.length slots > 0 then begin
@@ -264,10 +237,7 @@ let solve ?(seed = 0) ?(noise = 0.08) ?(budget = Timer.unlimited) ?restart_every
             let candidates =
               (-1)
               :: List.filter
-                   (fun a ->
-                     a <> i
-                     && (not (Bitset.mem st.present.(t) a))
-                     && not (blocked st ~task:a ~time:t))
+                   (fun a -> a <> i && not (Bitset.mem st.present.(t) a))
                    (Windows.available_tasks st.windows ~time:t)
             in
             let choice =

@@ -30,16 +30,9 @@ val solve :
   ?noise:float ->
   ?budget:Prelude.Timer.budget ->
   ?restart_every:int ->
-  ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
   m:int ->
   Encodings.Outcome.t * stats
 (** [noise] (default 0.08) is the random-walk probability;
     [restart_every] (default 20·m·T iterations) re-seeds from a fresh
-    greedy state.  The node budget counts iterations.
-
-    [domains] seeds every greedy (re)start with the analyzer's statically
-    forced cells and keeps moves out of statically blocked cells — blocked
-    cells appear in no feasible schedule, so excluding them narrows the
-    walk without excluding any solution.
-    @raise Invalid_argument if the [domains] fingerprint does not match. *)
+    greedy state.  The node budget counts iterations. *)

@@ -57,17 +57,17 @@ type result = {
    degradation retry runs them with a reduced table.  Both CSP2 arms run
    the sequential engine on purpose: each arm owns one domain already, so
    subtree splitting inside an arm would oversubscribe the race. *)
-let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
+let run_spec spec ~budget ~seed ?memo_mb ts ~m =
   let backend = spec_name spec in
   match spec with
   | Csp2 heuristic ->
-    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ?domains ts ~m in
+    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ~memo_mb:0 ts ~m in
     (outcome, Csp2.Opt.to_stats ~backend st)
   | Csp2_opt heuristic ->
-    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ?memo_mb ?domains ts ~m in
+    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ?memo_mb ts ~m in
     (outcome, Csp2.Opt.to_stats ~backend st)
   | Csp1_sat ->
-    let outcome, st = Encodings.Csp1_sat.solve ~budget ~seed ?domains ts ~m in
+    let outcome, st = Encodings.Csp1_sat.solve ~budget ~seed ts ~m in
     let stats =
       match st with
       | Some s -> Sat.Solver.to_stats ~backend s
@@ -75,7 +75,7 @@ let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
     in
     (outcome, stats)
   | Local_search ->
-    let outcome, st = Localsearch.Min_conflicts.solve ~seed ~budget ?domains ts ~m in
+    let outcome, st = Localsearch.Min_conflicts.solve ~seed ~budget ts ~m in
     (outcome, Localsearch.Min_conflicts.to_stats ~backend st)
 
 let analysis_arm_name = "static-analysis"
@@ -92,18 +92,9 @@ type arm_job = {
 }
 
 let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
-    ?(stall_beats = 16.) ?domains ts ~m =
+    ?(stall_beats = 16.) ts ~m =
   if m < 1 then invalid_arg "Portfolio.solve: m must be >= 1";
   if specs = [] then invalid_arg "Portfolio.solve: empty backend list";
-  (* Every arm would reject mismatched domains as a contained crash, and
-     the race would report [All_arms_crashed] for a caller's mistake. *)
-  (match domains with
-  | Some d
-    when not
-           (Analysis.Domains.matches d ~n:(Rt_model.Taskset.size ts) ~m
-              ~horizon:(Rt_model.Taskset.hyperperiod ts)) ->
-    invalid_arg "Portfolio.solve: domains derived for a different instance"
-  | Some _ | None -> ());
   let race_t0 = Timer.start () in
   let specs = Array.of_list specs in
   let n = Array.length specs in
@@ -165,10 +156,14 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
       | Csp1_sat -> Some { j with j_slot = n + j.j_slot; j_retry = true; j_seed = j.j_seed + 7919 }
       | Csp2 _ | Local_search -> None
   in
-  let maybe_retry j =
-    if (not (Race.stopped race)) && not (Timer.cancelled arm_budget) then
-      Option.iter push (retry_of j)
+  (* Nothing starts or is queued once a verdict has landed, the caller
+     has cancelled or the wall has run out: such an arm could only
+     return [Limit]. *)
+  let spent () =
+    Timer.cancelled arm_budget
+    || match Timer.remaining_wall arm_budget with Some s -> s <= 0. | None -> false
   in
+  let maybe_retry j = if not (spent ()) then Option.iter push (retry_of j) in
   let run_job j =
     let name = job_name j in
     (* Each arm gets a private cancellation point on top of the shared
@@ -183,8 +178,7 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
     let run () =
       Telemetry.with_span name ~cat:"arm" (fun () ->
           Resilience.Failpoint.hit "portfolio.arm_start";
-          run_spec j.j_spec ~budget:my_budget ~seed:j.j_seed ?memo_mb:j.j_memo_mb ?domains ts
-            ~m)
+          run_spec j.j_spec ~budget:my_budget ~seed:j.j_seed ?memo_mb:j.j_memo_mb ts ~m)
     in
     let protected =
       match cell with
@@ -224,7 +218,7 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
   in
   let worker () =
     let rec loop () =
-      if not (Race.stopped race) then
+      if not (spent ()) then
         match pop () with
         | None -> ()
         | Some j ->

@@ -17,7 +17,7 @@
 
     The race is only the race: the pre-search pass (witness stage and
     static analyzer) belongs to {!Core}, whose {!Core.solve_portfolio}
-    runs it before racing and passes the pruned [domains] in.
+    runs it and races only when it does not decide.
 
     {b Supervision} (see DESIGN.md §9): every arm runs inside a
     containment wrapper
@@ -79,7 +79,9 @@ type arm_status =
           silence longer than the stall window.  The arm still
           reports the (non-decisive) outcome it returned after the
           cancellation landed. *)
-  | Not_started  (** The race ended before this spec's turn. *)
+  | Not_started
+      (** The race ended, or its budget was cancelled or ran out of wall,
+          before this spec's turn. *)
 
 type backend_stats = {
   name : string;
@@ -113,8 +115,8 @@ type result = {
       (** One entry per spec, in spec order, followed by one
           ["<spec>(retry)"] entry per degraded re-run that started.
           {!Core.solve_portfolio} puts its {!analysis_arm_name} entry
-          first: [nodes]/[fails] report statically forced/blocked cells,
-          and a pass that only prunes shows as [Limit]. *)
+          first; a pass that does not decide shows as [Limit] with zero
+          counters. *)
 }
 
 val solve :
@@ -123,7 +125,6 @@ val solve :
   ?budget:Prelude.Timer.budget ->
   ?seed:int ->
   ?stall_beats:float ->
-  ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
   m:int ->
   result
@@ -149,11 +150,10 @@ val solve :
     that heartbeat keeps its verdict.  [stall_beats <= 0] disables the
     watchdog.
 
-    [domains], when given, seeds every arm's search; the race runs no
-    analyzer of its own.
-    @raise Invalid_argument on [m < 1], an empty [specs], or a [domains]
-    fingerprint that does not match the instance (checked before any arm
-    starts).
+    No arm starts, and no retry is queued, once the budget is cancelled
+    or its wall has run out: a race under such a budget reports every
+    spec [Not_started] and returns [Limit].
+    @raise Invalid_argument on [m < 1] or an empty [specs].
     @raise All_arms_crashed when every arm that ran crashed. *)
 
 val summary : result -> string

@@ -29,9 +29,6 @@ type search = {
   by_rank : int array;  (* rank -> task id *)
   deadline : int array;
   urgency : bool;  (* forced inclusion of zero-laxity tasks (Section V-C3) *)
-  domains : Analysis.Domains.t option;  (* statically pruned cells *)
-  usable_after : int array array;  (* [task].(t): unblocked window slots >= t;
-                                      only built (and valid) with domains *)
   budget : Timer.budget;
   mutable nodes : int;
   mutable fails : int;
@@ -50,38 +47,6 @@ let remaining_slots s ~task ~k ~t =
     let head_end = last - s.horizon in
     if t <= head_end then head_end - t + 1 + (s.horizon - release) else s.horizon - t
   end
-
-let is_blocked s ~task ~time =
-  match s.domains with
-  | None -> false
-  | Some d -> Analysis.Domains.is_blocked d ~task ~time
-
-(* With pruned domains the window arithmetic above over-counts: blocked
-   slots can never serve the job.  [usable_after.(i).(t)] replaces it with
-   the exact count of unblocked window slots at sweep positions >= t, so a
-   statically forced cell (unblocked count = remaining demand) becomes
-   urgent automatically and the urgency invariant [rem <= slots_left] is
-   preserved branch-wide. *)
-let build_usable_after jm deadline domains =
-  let horizon = Jobmap.horizon jm in
-  let n = Array.length deadline in
-  let ua = Array.make_matrix n horizon 0 in
-  for i = 0 to n - 1 do
-    for k = 0 to Jobmap.jobs_of_task jm i - 1 do
-      let release = Jobmap.release jm ~task:i ~k in
-      let slots =
-        List.init deadline.(i) (fun d -> (release + d) mod horizon)
-        |> List.sort_uniq Int.compare (* sweep (= numeric) order; head first *)
-      in
-      let acc = ref 0 in
-      List.iter
-        (fun t ->
-          if not (Analysis.Domains.is_blocked domains ~task:i ~time:t) then incr acc;
-          ua.(i).(t) <- !acc)
-        (List.rev slots)
-    done
-  done;
-  ua
 
 let to_stats ~backend (st : stats) =
   Telemetry.Stats.make ~backend ~nodes:st.nodes ~fails:st.fails ~depth:st.max_time_reached
@@ -118,14 +83,10 @@ let advance s f =
   for r = s.n - 1 downto 0 do
     let i = s.by_rank.(r) in
     let k = Jobmap.local_job_at s.jm ~task:i ~time:t in
-    if k >= 0 && not (is_blocked s ~task:i ~time:t) then begin
+    if k >= 0 then begin
       let g = Jobmap.first_of_task s.jm i + k in
       if s.rem.(g) > 0 then begin
-        let slots_left =
-          match s.domains with
-          | None -> remaining_slots s ~task:i ~k ~t
-          | Some _ -> s.usable_after.(i).(t)
-        in
+        let slots_left = remaining_slots s ~task:i ~k ~t in
         avail := (i, k, g, slots_left) :: !avail;
         if s.urgency then begin
           assert (s.rem.(g) <= slots_left);
@@ -215,17 +176,12 @@ let build_schedule s frames depth =
   done;
   sched
 
-let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?(urgency = true) ?domains ts
-    ~m =
+let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?(urgency = true) ts ~m =
   if m < 1 then invalid_arg "Csp2.Solver.solve: m must be >= 1";
   let t0 = Timer.start () in
   let jm = Jobmap.create ts in
   let n = Taskset.size ts in
   let horizon = Jobmap.horizon jm in
-  (match domains with
-  | Some d when not (Analysis.Domains.matches d ~n ~m ~horizon) ->
-    invalid_arg "Csp2.Solver.solve: domains derived for a different instance"
-  | _ -> ());
   let wcet = Array.init n (fun i -> (Taskset.task ts i).wcet) in
   let deadline = Array.init n (fun i -> (Taskset.task ts i).deadline) in
   let rem = Array.make (Jobmap.job_count jm) 0 in
@@ -245,9 +201,6 @@ let solve ?(heuristic = Heuristic.DC) ?(budget = Timer.unlimited) ?(urgency = tr
       by_rank = Heuristic.order heuristic ts;
       deadline;
       urgency;
-      domains;
-      usable_after =
-        (match domains with Some d -> build_usable_after jm deadline d | None -> [||]);
       budget;
       nodes = 0;
       fails = 0;

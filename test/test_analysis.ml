@@ -1,7 +1,7 @@
 (* Tests for the static schedulability analyzer: verdicts on hand-crafted
    instances, independent certificate validation (including corrupted
-   certificates), pruned-domain soundness against verified schedules, and
-   differential properties against the complete CSP2 backend. *)
+   certificates), and differential properties against the complete CSP2
+   backend. *)
 
 open Rt_model
 module O = Encodings.Outcome
@@ -17,7 +17,7 @@ let validate ts ~m cert = A.Certificate.validate ts (Platform.identical ~m) cert
 let infeasible_cert name report =
   match report.A.verdict with
   | A.Infeasible cert -> cert
-  | A.Pruned _ -> Alcotest.fail (name ^ ": expected Infeasible, got Pruned")
+  | A.Undecided -> Alcotest.fail (name ^ ": expected Infeasible, got Undecided")
 
 (* ------------------------------------------------------------------ *)
 (* Hand-crafted verdicts                                                *)
@@ -101,37 +101,12 @@ let test_supply_shortfall () =
   | A.Infeasible _ -> Alcotest.fail "feasible on two processors"
   | _ -> ()
 
-(* Saturation prunes but does not refute: the fixpoint forces τ3 into
-   slots {2,3} and blocks τ3/τ4 from the saturated slots {0,1}. *)
-let pruned_example =
-  Taskset.of_tuples [ (0, 2, 2, 4); (0, 2, 2, 4); (0, 2, 4, 4); (0, 1, 4, 4) ]
-
-let test_pruned_domains () =
-  let ts = pruned_example in
-  let report = analyze ts ~m:2 in
-  match report.A.verdict with
-  | A.Pruned d ->
-    Alcotest.(check bool) "fingerprint" true (A.Domains.matches d ~n:4 ~m:2 ~horizon:4);
-    check Alcotest.int "forced cells" 6 (A.Domains.forced_cells d);
-    check Alcotest.int "blocked cells" 4 (A.Domains.blocked_cells d);
-    Alcotest.(check (list int)) "slot 0 forced" [ 0; 1 ] (A.Domains.forced_at d ~time:0);
-    Alcotest.(check bool) "τ3 forced at 2" true (A.Domains.is_forced d ~task:2 ~time:2);
-    Alcotest.(check bool) "τ3 blocked at 0" true (A.Domains.is_blocked d ~task:2 ~time:0);
-    (* The instance is feasible; the unique (up to processor symmetry)
-       schedule must respect the derived domains. *)
-    (match Csp2.Opt.solve ~memo_mb:0 ts ~m:2 with
-    | O.Feasible sched, _ ->
-      Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched);
-      Alcotest.(check bool) "respects domains" true (A.Domains.respects d sched)
-    | _ -> Alcotest.fail "pruned example should be feasible on 2 processors")
-  | _ -> Alcotest.fail "expected Pruned"
-
-(* The analyzer only refutes and prunes: a trivially feasible instance
-   stays undecided here, and the witness stage ahead of it schedules it. *)
+(* The analyzer only refutes: a trivially feasible instance stays
+   undecided here, and the witness stage ahead of it schedules it. *)
 let test_trivially_feasible () =
   let ts = Taskset.of_tuples [ (0, 1, 2, 2); (0, 1, 2, 2) ] in
   (match (analyze ts ~m:2).A.verdict with
-  | A.Pruned _ -> ()
+  | A.Undecided -> ()
   | A.Infeasible _ -> Alcotest.fail "refuted a feasible instance");
   match Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited ts ~m:2 with
   | Some sched -> Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched)
@@ -143,10 +118,9 @@ let test_budget_skip_is_reported () =
   let ts = Examples.running_example in
   let report = analyze ~work_budget:10 ts ~m:2 in
   Alcotest.(check bool) "skip reported" true (report.A.skipped <> []);
+  check Alcotest.int "m_lower still exact" 2 report.A.m_lower;
   match report.A.verdict with
-  | A.Pruned d ->
-    check Alcotest.int "m_lower still exact" 2 (A.Domains.m_lower d);
-    check Alcotest.int "no facts claimed" 0 (A.Domains.forced_cells d + A.Domains.blocked_cells d)
+  | A.Undecided -> ()
   | _ -> Alcotest.fail "budget-starved analysis must stay inconclusive"
 
 let test_wall_budget_skip_is_reported () =
@@ -161,7 +135,7 @@ let test_wall_budget_skip_is_reported () =
      so any reported skip here comes from the wall check. *)
   Alcotest.(check bool) "skip reported" true (report.A.skipped <> []);
   (match report.A.verdict with
-  | A.Pruned _ -> ()
+  | A.Undecided -> ()
   | _ -> Alcotest.fail "wall-starved analysis must stay inconclusive");
   let cancelled = Prelude.Timer.budget () in
   Prelude.Timer.cancel cancelled;
@@ -333,7 +307,7 @@ let test_fresh_corpus_complete () =
         | A.Infeasible cert ->
           Alcotest.(check bool) "certificate validates" true (validate ts ~m cert);
           incr decided
-        | A.Pruned _ -> ()
+        | A.Undecided -> ()
       end)
     corpus;
   check Alcotest.int "instances past the utilization test" 32 !reached;
@@ -358,68 +332,7 @@ let prop_analyzer_agrees_with_backend =
       | A.Infeasible cert ->
         validate ts ~m cert
         && (match solve_exact ts ~m with O.Feasible _ -> false | _ -> true)
-      | A.Pruned _ -> true)
-
-(* Domain soundness: any schedule the verifier accepts also respects the
-   analyzer's pruned domains (forced cells are truly forced, blocked cells
-   truly dead). *)
-let prop_domains_sound =
-  qtest ~count:300 "verified schedules respect pruned domains"
-    (Test_util.instance_gen ())
-    ~print:Test_util.print_instance
-    (fun (ts, m) ->
-      match (analyze ts ~m).A.verdict with
-      | A.Pruned d -> (
-        match solve_exact ts ~m with
-        | O.Feasible sched -> Verify.is_feasible ts sched && A.Domains.respects d sched
-        | _ -> true)
-      | A.Infeasible _ -> true)
-
-(* Pruned domains only ever shrink the dedicated solver's search: with the
-   analyzer's facts wired in, CSP2 reaches the same verdict in at most as
-   many nodes.  Both runs get the same node budget: a wall limit would let
-   two runs stopped by the clock compare counts that depend on timing. *)
-let csp2_nodes_monotone (ts, m) =
-  match (analyze ts ~m).A.verdict with
-  | A.Pruned d ->
-    let budget () = Prelude.Timer.budget ~nodes:200_000 () in
-    let bare, bare_stats = Csp2.Opt.solve ~memo_mb:0 ~budget:(budget ()) ts ~m in
-    let pruned, pruned_stats = Csp2.Opt.solve ~memo_mb:0 ~budget:(budget ()) ~domains:d ts ~m in
-    let same_verdict =
-      match (bare, pruned) with
-      | O.Feasible _, O.Feasible _
-      | O.Infeasible, O.Infeasible
-      | O.Limit, _ | _, O.Limit -> true
-      | _ -> false
-    in
-    same_verdict && pruned_stats.Csp2.Opt.nodes <= bare_stats.Csp2.Opt.nodes
-  | A.Infeasible _ -> true
-
-let prop_csp2_nodes_monotone =
-  qtest ~count:300 "csp2 node count with domains <= without"
-    (Test_util.instance_gen ())
-    ~print:Test_util.print_instance csp2_nodes_monotone
-
-(* A draw on which both runs used to stop at the wall limit, at 20.5 M and
-   21.2 M nodes, so the property's outcome depended on timing. *)
-let test_csp2_nodes_monotone_limit () =
-  let ts = Taskset.of_tuples [ (1, 2, 4, 5); (3, 1, 4, 4); (0, 1, 1, 1); (0, 1, 2, 3) ] in
-  Alcotest.(check bool) "nodes with domains <= without" true (csp2_nodes_monotone (ts, 2))
-
-(* Local search with domains still only returns verified schedules, and
-   those honor the pruned domains it was seeded with. *)
-let prop_localsearch_respects_domains =
-  qtest ~count:100 "min-conflicts with domains returns respecting schedules"
-    (Test_util.instance_gen ())
-    ~print:Test_util.print_instance
-    (fun (ts, m) ->
-      match (analyze ts ~m).A.verdict with
-      | A.Pruned d -> (
-        let budget = Prelude.Timer.budget ~nodes:200_000 () in
-        match Localsearch.Min_conflicts.solve ~budget ~domains:d ts ~m with
-        | O.Feasible sched, _ -> Verify.is_feasible ts sched && A.Domains.respects d sched
-        | _ -> true)
-      | A.Infeasible _ -> true)
+      | A.Undecided -> true)
 
 (* The m-independent lower bound never excludes a feasible processor
    count. *)
@@ -443,7 +356,6 @@ let () =
           Alcotest.test_case "interval demand" `Quick test_interval_demand;
           Alcotest.test_case "r = 1 boundary" `Quick test_exact_boundary;
           Alcotest.test_case "supply shortfall" `Quick test_supply_shortfall;
-          Alcotest.test_case "pruned domains" `Quick test_pruned_domains;
           Alcotest.test_case "trivially feasible" `Quick test_trivially_feasible;
           Alcotest.test_case "budget skip reported" `Quick test_budget_skip_is_reported;
           Alcotest.test_case "wall budget skip reported" `Quick test_wall_budget_skip_is_reported;
@@ -461,11 +373,6 @@ let () =
       ( "differential",
         [
           prop_analyzer_agrees_with_backend;
-          prop_domains_sound;
-          prop_csp2_nodes_monotone;
-          Alcotest.test_case "csp2 node count: both runs at the node limit" `Quick
-            test_csp2_nodes_monotone_limit;
-          prop_localsearch_respects_domains;
           prop_m_lower_sound;
         ] );
     ]

@@ -50,6 +50,20 @@ expect 3 "unknown failpoint site" solve "$EXAMPLE" -m 2 --failpoints bogus=raise
 got=$?
 [ "$got" -eq 3 ] || fail "huge hyperperiod (simulate): expected exit 3, got $got"
 
+# The same set is over the admission cap of 10⁸ window cells (n·T and m·T):
+# the default solver, the portfolio and the analyzer refuse it before
+# allocating anything, with one message.
+for args in "solve" "solve --solver portfolio" "analyze"; do
+  # shellcheck disable=SC2086 # $args holds several words on purpose
+  err=$(ulimit -v 1000000; "$MGRTS" $args "$HUGE" -m 5 2>&1 >/dev/null)
+  got=$?
+  [ "$got" -eq 3 ] || fail "huge hyperperiod ($args): expected exit 3, got $got"
+  case "$err" in
+  mgrts:*"too large"*) ;;
+  *) fail "huge hyperperiod ($args): got '$err'" ;;
+  esac
+done
+
 # Injected single-arm crash: the race must still decide, exit 0.
 expect 0 "portfolio survives one crash" \
   solve "$EXAMPLE" -m 2 --quiet --solver portfolio \

@@ -142,33 +142,6 @@ let test_solve_csp2_opt_facade () =
   | (Core.Feasible _ | Core.Limit | Core.Memout _), _, _ ->
     Alcotest.fail "running example is infeasible on m=1"
 
-let test_dispatch_het_domains_rejected () =
-  (* Pins the fallback bugfix: [dispatch] used to silently drop pruned
-     [domains] when the dedicated engines fall back to {!Csp2.Het} on a
-     heterogeneous platform.  It must reject the combination explicitly —
-     and still decide the instance when no domains are passed. *)
-  let ts, platform = Examples.dedicated in
-  let m = Platform.processors platform in
-  let budget = Prelude.Timer.unlimited in
-  let domains =
-    Analysis.Domains.create ~n:(Taskset.size ts) ~m ~horizon:(Taskset.hyperperiod ts)
-  in
-  List.iter
-    (fun solver ->
-      Alcotest.(check bool)
-        (Core.solver_name solver ^ " rejects het platform + domains")
-        true
-        (try
-           ignore (Core.dispatch solver ~platform ~budget ~seed:0 ~domains ts ~m);
-           false
-         with Invalid_argument _ -> true);
-      match Core.dispatch solver ~platform ~budget ~seed:0 ts ~m with
-      | Core.Feasible _ | Core.Infeasible -> ()
-      | Core.Limit | Core.Memout _ ->
-        Alcotest.failf "%s should decide the dedicated example without domains"
-          (Core.solver_name solver))
-    [ Core.Csp2_dedicated Csp2.Heuristic.DC; Core.Csp2_opt Csp2.Heuristic.DC ]
-
 let prop_mapped_schedules_reverify =
   (* Pins the re-verification bugfix from the outside: with the facade's
      own verify guard off, every mapped-back schedule returned for a D>T
@@ -225,13 +198,40 @@ let test_analyze_facade () =
   | Analysis.Infeasible cert ->
     Alcotest.(check bool) "certificate validates" true
       (Analysis.Certificate.validate analyzed (Platform.identical ~m:1) cert)
-  | Analysis.Pruned _ ->
+  | Analysis.Undecided ->
     Alcotest.fail "running example is statically refutable on m=1");
   (* Arbitrary deadlines: the report refers to the clone system. *)
   let ts = Examples.arbitrary_deadline in
   let _, analyzed = Core.analyze ts ~m:2 in
   Alcotest.(check bool) "clone system returned" true
     (Taskset.is_constrained analyzed && not (Taskset.is_constrained ts))
+
+(* The admission cap: the six-task set of test/fixtures/huge_hyperperiod.txt
+   (T ≈ 1.6·10^18, so n·T overflows [int]) is refused by every entry point
+   before anything is allocated, while Table IV's largest size (n = 256
+   at T = 360 360, 9.2·10^7 cells) is admitted. *)
+let test_admission_cap () =
+  let huge =
+    Taskset.of_tuples (List.map (fun p -> (0, 1, p, p)) [ 1097; 1093; 1091; 1087; 1069; 1063 ])
+  in
+  let too_large name f =
+    match f () with
+    | _ -> Alcotest.failf "%s admitted the huge instance" name
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ ": " ^ msg) true
+        (String.starts_with ~prefix:"instance too large" msg)
+  in
+  too_large "solve" (fun () -> ignore (Core.solve huge ~m:6));
+  too_large "portfolio" (fun () -> ignore (Core.solve_portfolio ~jobs:2 huge ~m:6));
+  too_large "solve_csp2_opt" (fun () -> ignore (Core.solve_csp2_opt huge ~m:6));
+  too_large "analyze" (fun () -> ignore (Core.analyze huge ~m:6));
+  let table4 =
+    Taskset.of_tuples (List.init 256 (fun i -> (0, 1, 1 + (i mod 15), 1 + (i mod 15))))
+  in
+  check Alcotest.int "hyperperiod" 360_360 (Taskset.hyperperiod table4);
+  let report, _ = Core.analyze table4 ~m:58 in
+  Alcotest.(check bool) "Table IV size admitted, window passes skipped" true
+    (report.Analysis.verdict = Analysis.Undecided && report.Analysis.skipped <> [])
 
 let test_static_pass_lets_local_search_refute () =
   (* Local search alone can never prove infeasibility; through the static
@@ -270,13 +270,12 @@ let () =
           Alcotest.test_case "platform mismatch" `Quick test_platform_mismatch_rejected;
           Alcotest.test_case "sat rejects heterogeneous" `Quick test_sat_rejects_heterogeneous;
           Alcotest.test_case "analyze facade" `Quick test_analyze_facade;
+          Alcotest.test_case "instance too large" `Quick test_admission_cap;
           Alcotest.test_case "static pass refutes for local search" `Quick
             test_static_pass_lets_local_search_refute;
           prop_verify_guard_all_solvers;
           Alcotest.test_case "opt heterogeneous fallback" `Quick
             test_opt_heterogeneous_fallback;
-          Alcotest.test_case "dispatch rejects het + domains" `Quick
-            test_dispatch_het_domains_rejected;
           Alcotest.test_case "solve_csp2_opt stats" `Quick test_solve_csp2_opt_facade;
         ] );
       ( "arbitrary deadlines",

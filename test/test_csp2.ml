@@ -16,8 +16,8 @@ let decided = function O.Feasible _ | O.Infeasible -> true | O.Limit | O.Memout 
 
 (* The paper's Section V search: the one engine with its memo-on layers
    (memo, nogoods, capacity bound) off. *)
-let paper ?heuristic ?budget ?urgency ?domains ts ~m =
-  Csp2.Opt.solve ~memo_mb:0 ?heuristic ?budget ?urgency ?domains ts ~m
+let paper ?heuristic ?budget ?urgency ts ~m =
+  Csp2.Opt.solve ~memo_mb:0 ?heuristic ?budget ?urgency ts ~m
 
 (* ------------------------------------------------------------------ *)
 (* Heuristic module                                                     *)
@@ -226,19 +226,6 @@ let prop_opt_parallel_matches_sequential =
       && par_st.Csp2.Opt.steals >= 0
       && (match par with O.Feasible s -> Verify.is_feasible ts s | _ -> true))
 
-let prop_opt_domains_preserve_verdict =
-  (* Analyzer facts seed the opt engine exactly like the classic one:
-     verdicts must be unchanged with pruned domains installed. *)
-  qtest ~count:60 "opt with analyzer domains = opt without"
-    (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
-    (fun (ts, m) ->
-      match (Analysis.analyze ts ~m).Analysis.verdict with
-      | Analysis.Infeasible _ -> true
-      | Analysis.Pruned d ->
-        let bare, _ = Csp2.Opt.solve ~budget:(budget ()) ts ~m in
-        let pruned, _ = Csp2.Opt.solve ~budget:(budget ()) ~domains:d ts ~m in
-        decided bare && decided pruned && O.is_feasible bare = O.is_feasible pruned)
-
 let prop_opt_nogood_ablation_matches =
   (* Nogood learning is a pruning accelerator, never a decision change:
      learning on, learning off and the classic reference agree on every
@@ -332,7 +319,7 @@ let test_opt_memo_prunes () =
         | Analysis.Infeasible cert ->
           Alcotest.(check bool) "analyzer certificate validates" true
             (Analysis.Certificate.validate ts (Platform.identical ~m) cert)
-        | Analysis.Pruned _ -> Alcotest.fail "analyzer should refute"
+        | Analysis.Undecided -> Alcotest.fail "analyzer should refute"
       end)
     instances;
   check Alcotest.int "memo-off runs decided at 250 000 nodes" 19 !both_decided;
@@ -643,14 +630,12 @@ let describe (o, nodes, fails, depth) =
 let parity_failures ?(urgency = true) ~nodes instances =
   let failures = ref [] in
   List.iteri
-    (fun idx (ts, m, domains) ->
+    (fun idx (ts, m) ->
       List.iter
         (fun heuristic ->
           let budget () = Prelude.Timer.budget ~nodes () in
-          let ours = of_opt (paper ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m) in
-          let theirs =
-            of_ref (Csp2_ref.solve ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m)
-          in
+          let ours = of_opt (paper ~heuristic ~urgency ~budget:(budget ()) ts ~m) in
+          let theirs = of_ref (Csp2_ref.solve ~heuristic ~urgency ~budget:(budget ()) ts ~m) in
           if not (same_run ours theirs) then
             failures :=
               Printf.sprintf "#%d %s: opt %s, reference %s" idx
@@ -665,29 +650,22 @@ let check_parity ?urgency ~nodes ~expect instances =
   check Alcotest.int "instances" expect (List.length instances);
   Alcotest.(check (list string)) "disagreements" [] (parity_failures ?urgency ~nodes instances)
 
-let pruned_domains ts ~m =
-  match (Analysis.analyze ts ~m).Analysis.verdict with
-  | Analysis.Pruned d -> Some d
-  | Analysis.Infeasible _ -> None
-
 let prop_memo_off_is_reference =
   let gen =
     let open QCheck2.Gen in
     Test_util.instance_gen ~nmax:5 ~tmax:6 () >>= fun inst ->
     oneofl Csp2.Heuristic.all >>= fun h ->
-    bool >>= fun urgency ->
-    bool >>= fun with_domains -> return (inst, h, urgency, with_domains)
+    bool >>= fun urgency -> return (inst, h, urgency)
   in
   qtest ~count:300 "memo off = classic reference: verdict, schedule, nodes" gen
-    (fun ((ts, m), heuristic, urgency, with_domains) ->
-      let domains = if with_domains then pruned_domains ts ~m else None in
+    (fun ((ts, m), heuristic, urgency) ->
       let budget () = Prelude.Timer.budget ~nodes:5_000 () in
       same_run
-        (of_opt (paper ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m))
-        (of_ref (Csp2_ref.solve ~heuristic ~urgency ?domains ~budget:(budget ()) ts ~m)))
+        (of_opt (paper ~heuristic ~urgency ~budget:(budget ()) ts ~m))
+        (of_ref (Csp2_ref.solve ~heuristic ~urgency ~budget:(budget ()) ts ~m)))
 
 (* The Table I stream (seed 1, n = 10, m = 5, Tmax = 7) past the
-   utilization test, and the share of it the analyzer leaves pruned. *)
+   utilization test. *)
 let table1_stream =
   lazy
     (Gen.Generator.batch ~seed:1 ~count:500
@@ -695,22 +673,13 @@ let table1_stream =
     |> Array.to_list
     |> List.filter (fun (ts, m) -> not (Analysis.utilization_exceeds ts ~m)))
 
-let test_parity_table1 () =
-  check_parity ~nodes:20_000 ~expect:322
-    (List.map (fun (ts, m) -> (ts, m, None)) (Lazy.force table1_stream))
-
-let test_parity_table1_domains () =
-  check_parity ~nodes:20_000 ~expect:298
-    (List.filter_map
-       (fun (ts, m) -> Option.map (fun d -> (ts, m, Some d)) (pruned_domains ts ~m))
-       (Lazy.force table1_stream))
+let test_parity_table1 () = check_parity ~nodes:20_000 ~expect:322 (Lazy.force table1_stream)
 
 let test_parity_table1_weak () =
-  check_parity ~urgency:false ~nodes:5_000 ~expect:322
-    (List.map (fun (ts, m) -> (ts, m, None)) (Lazy.force table1_stream))
+  check_parity ~urgency:false ~nodes:5_000 ~expect:322 (Lazy.force table1_stream)
 
-(* The benchmark corpora past the front door, analyzer-pruned, with
-   their domains: what a serve miss hands the search. *)
+(* The benchmark corpora past the front door that the analyzer leaves
+   undecided: what a serve miss can hand the search. *)
 let test_parity_corpus w ~expect () =
   let module W = Mgrts_bench.Workload in
   check_parity ~nodes:W.nodes ~expect
@@ -718,7 +687,10 @@ let test_parity_corpus w ~expect () =
        (fun (item : W.item) ->
          let ts = item.W.inst.W.ts and m = item.W.inst.W.m in
          if Analysis.utilization_exceeds ts ~m then None
-         else Option.map (fun d -> (ts, m, Some d)) (pruned_domains ts ~m))
+         else
+           match (Analysis.analyze ts ~m).Analysis.verdict with
+           | Analysis.Undecided -> Some (ts, m)
+           | Analysis.Infeasible _ -> None)
        (Array.to_list (W.corpus w)))
 
 let test_urgency_off_needs_memo_off () =
@@ -809,7 +781,6 @@ let () =
             test_opt_running_example_all_heuristics;
           prop_opt_matches_classic;
           prop_opt_parallel_matches_sequential;
-          prop_opt_domains_preserve_verdict;
           prop_opt_nogood_ablation_matches;
           Alcotest.test_case "deterministic counters" `Quick test_opt_deterministic;
           Alcotest.test_case "memo prunes and stays sound" `Quick test_opt_memo_prunes;
@@ -835,7 +806,6 @@ let () =
         [
           prop_memo_off_is_reference;
           Alcotest.test_case "Table I stream" `Quick test_parity_table1;
-          Alcotest.test_case "Table I stream, pruned domains" `Quick test_parity_table1_domains;
           Alcotest.test_case "Table I stream, urgency off" `Quick test_parity_table1_weak;
           Alcotest.test_case "fresh corpus, pruned domains" `Quick
             (test_parity_corpus Mgrts_bench.Workload.Fresh ~expect:29);

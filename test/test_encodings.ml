@@ -72,6 +72,19 @@ let test_memout () =
   | O.Memout _, None -> ()
   | _ -> Alcotest.fail "tiny budget must memout (SAT)"
 
+(* The CNF builder polls the budget before its first clause: a spent
+   budget returns [Limit] without building the CNF or running the SAT
+   solver (no stats). *)
+let test_sat_build_polls_budget () =
+  let cancelled = Prelude.Timer.budget () in
+  Prelude.Timer.cancel cancelled;
+  List.iter
+    (fun (name, budget) ->
+      match Encodings.Csp1_sat.solve ~budget running ~m:2 with
+      | O.Limit, None -> ()
+      | _ -> Alcotest.failf "%s budget: expected Limit before the CNF is built" name)
+    [ ("cancelled", cancelled); ("expired", Prelude.Timer.budget ~wall_s:0. ()) ]
+
 let test_dimacs_export () =
   let model = Encodings.Csp1_sat.build running ~m:2 in
   let cnf = Encodings.Csp1_sat.to_dimacs model in
@@ -197,6 +210,7 @@ let () =
           Alcotest.test_case "csp2 variables and constraint (7)" `Quick
             test_csp2_fd_variable_count;
           Alcotest.test_case "memout emulation" `Quick test_memout;
+          Alcotest.test_case "sat build polls the budget" `Quick test_sat_build_polls_budget;
           Alcotest.test_case "dimacs export" `Quick test_dimacs_export;
         ] );
       ( "equivalence",

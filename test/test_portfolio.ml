@@ -149,6 +149,33 @@ let test_cancel_before_race_skips_analysis () =
     (List.for_all (fun (b : P.backend_stats) -> b.P.name <> P.analysis_arm_name) r.P.backends);
   Alcotest.(check bool) (Printf.sprintf "returned promptly (%.3fs)" elapsed) true (elapsed < 5.)
 
+(* A race whose budget is already spent — cancelled, or its wall run
+   out — starts no arm: every spec reports [Not_started], no [arm] span
+   is recorded, and the race returns [Limit]. *)
+let test_spent_budget_starts_no_arm () =
+  let ts, m = hard_instance () in
+  let cancelled = Prelude.Timer.budget ~wall_s:30. () in
+  Prelude.Timer.cancel cancelled;
+  List.iter
+    (fun (name, budget) ->
+      Telemetry.start ();
+      let r = Fun.protect ~finally:Telemetry.stop (fun () -> P.solve ~jobs:2 ~budget ts ~m) in
+      let arm_spans =
+        List.filter
+          (fun (e : Telemetry.event) -> e.e_ph = `Span && e.e_cat = "arm")
+          (Telemetry.drain ())
+      in
+      check Alcotest.int (name ^ ": arm spans") 0 (List.length arm_spans);
+      Alcotest.(check bool) (name ^ ": Limit") true (r.P.verdict = O.Limit);
+      check Alcotest.int (name ^ ": one entry per spec") (List.length P.default_specs)
+        (List.length r.P.backends);
+      List.iter
+        (fun (b : P.backend_stats) ->
+          Alcotest.(check bool) (name ^ ": " ^ b.P.name ^ " not started") true
+            (b.P.status = P.Not_started))
+        r.P.backends)
+    [ ("cancelled", cancelled); ("expired wall", Prelude.Timer.budget ~wall_s:0. ()) ]
+
 let test_no_winner_is_limit () =
   (* One node per arm decides nothing; the race must degrade to [Limit]
      with no winner rather than invent a verdict.  The optimized arm is
@@ -217,18 +244,6 @@ let test_invalid_args () =
     (fun () -> ignore (P.solve ~specs:[] running ~m:2));
   Alcotest.check_raises "m = 0" (Invalid_argument "Portfolio.solve: m must be >= 1") (fun () ->
       ignore (P.solve running ~m:0))
-
-(* Another instance's domains are the caller's mistake, rejected before
-   any arm starts — not a contained crash in every arm, which would end
-   in [All_arms_crashed]. *)
-let test_foreign_domains_rejected () =
-  let other, m = hard_instance () in
-  let domains =
-    Analysis.Domains.create ~n:(Taskset.size other) ~m ~horizon:(Taskset.hyperperiod other)
-  in
-  Alcotest.check_raises "domains of another instance"
-    (Invalid_argument "Portfolio.solve: domains derived for a different instance") (fun () ->
-      ignore (P.solve ~jobs:2 ~domains running ~m:2))
 
 (* ------------------------------------------------------------------ *)
 (* Core facade                                                          *)
@@ -321,12 +336,11 @@ let () =
           Alcotest.test_case "prompt cancellation" `Quick test_cancellation_prompt;
           Alcotest.test_case "external cancel stops race" `Quick test_external_cancel_stops_race;
           Alcotest.test_case "cancel before race" `Quick test_cancel_before_race_skips_analysis;
+          Alcotest.test_case "spent budget starts no arm" `Quick test_spent_budget_starts_no_arm;
           Alcotest.test_case "no winner = Limit" `Quick test_no_winner_is_limit;
           Alcotest.test_case "static analysis arm" `Quick test_static_analysis_arm;
           Alcotest.test_case "summary line" `Quick test_summary_line;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
-          Alcotest.test_case "foreign domains rejected up front" `Quick
-            test_foreign_domains_rejected;
           Alcotest.test_case "warm races spawn no domain" `Quick
             test_warm_races_spawn_no_domain;
         ] );

@@ -71,17 +71,24 @@ for id in a b over boom after line-3; do
 done
 
 # T ≈ 1.6·10¹⁸, under a 1 GB address-space limit: the request must be
-# refused as invalid input at once (the witness stage skips it before
-# allocating anything), and the daemon must answer the next request.
+# refused as invalid input at once (over the admission cap, before
+# anything is allocated), through the default solver and the portfolio
+# alike, and the daemon must answer the next request.
 HUGE_OUT=$(mktemp)
 trap 'rm -f "$OUT" "$HUGE_OUT"' EXIT
+HUGE_SET='[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],[0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]]'
 {
-  echo '{"id":"huge","taskset":[[0,1,1097,1097],[0,1,1093,1093],[0,1,1091,1091],[0,1,1087,1087],[0,1,1069,1069],[0,1,1063,1063]],"m":5}'
+  echo "{\"id\":\"huge\",\"taskset\":$HUGE_SET,\"m\":5}"
+  echo "{\"id\":\"huge-portfolio\",\"taskset\":$HUGE_SET,\"m\":5,\"solver\":\"portfolio\"}"
   echo '{"id":"next","taskset":[[0,1,2,2]],"m":1}'
 } | (ulimit -v 1000000; timeout 1 "$MGRTS" serve --workers 1) >"$HUGE_OUT" 2>/dev/null
 code=$?
 [ "$code" -eq 0 ] || fail "huge-hyperperiod daemon: expected exit 0 within a second, got $code"
-grep -q '"id": "huge", "status": "error", "code": 3' "$HUGE_OUT" || fail "huge hyperperiod: expected code 3"
+for id in huge huge-portfolio; do
+  grep -q "\"id\": \"$id\", \"status\": \"error\", \"code\": 3" "$HUGE_OUT" ||
+    fail "huge hyperperiod ($id): expected code 3"
+done
+grep -q 'too large' "$HUGE_OUT" || fail "huge hyperperiod: expected the admission message"
 grep -q '"id": "next", "status": "decided", "code": 0' "$HUGE_OUT" ||
   fail "no answer after the huge-hyperperiod request"
 
