@@ -44,8 +44,9 @@ let csp2_opt_test =
     (Staged.stage (fun () ->
          ignore (Csp2.Opt.solve ~heuristic:Csp2.Heuristic.DC running_example ~m:2)))
 
-(* Instance 54 of the benchmark's tight corpus: neither the LLF witness
-   nor the analyzer decides it, so a serve miss hands it to the search. *)
+(* Instance 54 of the benchmark's tight corpus: the LLF witness misses
+   it, so a serve miss hands it to the analyzer's flow; this is the
+   search the flow saves. *)
 let tight_searched =
   Rt_model.Taskset.of_tuples
     [
@@ -166,6 +167,13 @@ let llf_witness_test =
     (Staged.stage (fun () ->
          ignore (Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited pinned_5x420_taskset ~m:5)))
 
+(* Horn's max flow on the same instance: what the analyzer runs once the
+   cheap passes leave an instance, schedule included. *)
+let flow_test =
+  Test.make ~name:"analysis.flow(5x420)"
+    (Staged.stage (fun () ->
+         ignore (Analysis.Flow.solve ~spend:(fun _ -> true) pinned_5x420_taskset ~m:5)))
+
 let verify_check_cyclic_test =
   Test.make ~name:"verify.check_cyclic(5x420)"
     (Staged.stage (fun () ->
@@ -188,6 +196,7 @@ let tests =
       deque_test;
       sim_test;
       llf_witness_test;
+      flow_test;
       generator_test;
       verify_check_test;
       verify_check_cyclic_test;

@@ -388,7 +388,7 @@ let analyze_cmd =
     if analyzed != ts then
       Printf.printf "# arbitrary deadlines: report refers to the clone system (mgrts clone)\n";
     List.iter (Printf.printf "note: skipped %s\n") report.Analysis.skipped;
-    Printf.printf "m lower bound: %d\n" report.Analysis.m_lower;
+    Printf.printf "m lower bound: %d\n" (Analysis.m_lower_bound ?work_budget analyzed);
     match report.Analysis.verdict with
     | Analysis.Infeasible cert ->
       let valid = Analysis.Certificate.validate analyzed (Platform.identical ~m) cert in
@@ -403,6 +403,15 @@ let analyze_cmd =
         print_endline "certificate: FAILED validation (analyzer bug)";
         1
       end
+    | Analysis.Feasible sched -> (
+      match Verify.check analyzed sched with
+      | Ok () ->
+        Printf.printf "statically feasible on %d processor(s) (%.4fs): schedule verified\n" m
+          report.Analysis.time_s;
+        2
+      | Error _ ->
+        print_endline "schedule: FAILED verification (analyzer bug)";
+        1)
     | Analysis.Undecided ->
       Printf.printf "statically undecided (%.4fs)\n" report.Analysis.time_s;
       2
@@ -416,8 +425,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run the static schedulability analyzer alone: certified refutation (exit 0) or \
-          undecided (exit 2).")
+         "Run the static schedulability analyzer alone: certified refutation (exit 0), or not \
+          refuted (exit 2): a verified schedule, or undecided within the work budget.")
     Term.(const run $ file_arg $ m_arg $ work_budget)
 
 let minproc_cmd =
@@ -526,6 +535,7 @@ let dimacs_cmd =
   let run file m =
     guard @@ fun () ->
     let ts = read_taskset file in
+    Core.admit ts ~m;
     let model = Encodings.Csp1_sat.build ts ~m in
     print_string (Sat.Dimacs.to_string (Encodings.Csp1_sat.to_dimacs model));
     0

@@ -2,15 +2,11 @@ open Prelude
 open Rt_model
 
 module Certificate = Certificate
+module Flow = Flow
 
-type verdict = Infeasible of Certificate.t | Undecided
+type verdict = Infeasible of Certificate.t | Feasible of Schedule.t | Undecided
 
-type report = {
-  verdict : verdict;
-  m_lower : int;
-  skipped : string list;
-  time_s : float;
-}
+type report = { verdict : verdict; skipped : string list; time_s : float }
 
 let default_work_budget = 10_000_000
 
@@ -69,7 +65,6 @@ type fx = {
   forced : Bitset.t array; (* per slot *)
   forced_job : bool array; (* per global job *)
   saturated : bool array; (* per slot *)
-  mutable blocked_cells : int;
   mutable steps_rev : Certificate.step list;
 }
 
@@ -94,7 +89,6 @@ let make_fx ts ~m windows =
     forced = Array.init horizon (fun _ -> Bitset.create n);
     forced_job = Array.make (Array.length jobs) false;
     saturated = Array.make horizon false;
-    blocked_cells = 0;
     steps_rev = [];
   }
 
@@ -138,7 +132,6 @@ let run_fixpoint fx =
       for i = 0 to fx.n - 1 do
         if fx.allowed.(i).(s) && not (Bitset.mem fx.forced.(s) i) then begin
           fx.allowed.(i).(s) <- false;
-          fx.blocked_cells <- fx.blocked_cells + 1;
           let g = Windows.job_id_at fx.windows ~task:i ~time:s in
           fx.allowed_count.(g) <- fx.allowed_count.(g) - 1;
           Queue.push g jobq
@@ -189,11 +182,12 @@ let supply_bound ts windows =
   search 1
 
 (* ------------------------------------------------------------------ *)
-(* Interval demand-bound tests.  Candidate intervals are the cyclic
-   [start, start+len) that open at a release instant and close at an
-   absolute deadline, both folded mod T: the processor-demand argument
-   needs no others, since a job's forced contribution
-   max(0, C − slots outside) only changes at its window boundaries.    *)
+(* The interval demand bound, an m-independent lower bound for
+   {!m_lower_bound}.  Candidate intervals are the cyclic [start,
+   start+len) that open at a release instant and close at an absolute
+   deadline, both folded mod T: the processor-demand argument needs no
+   others, since a job's forced contribution max(0, C − slots outside)
+   only changes at its window boundaries.                              *)
 
 let boundary_points ts windows =
   let horizon = Windows.horizon windows in
@@ -208,50 +202,36 @@ let boundary_points ts windows =
 
 (* One sweep per start point over the slots after it, keeping
    demand = Σ_jobs max(0, inside − slack) up to date, where [inside]
-   counts a job's cells in [start, start+len) and slack = cells − C.  The
-   cells are every window cell on the pristine windows, or, with
-   [allowed], those the fixpoint left (blocking a cell only raises
-   demand).  Returns the max lower bound ⌈demand/len⌉ over the deadline
-   points and, with [detect_m], the first interval in (start, end) order
-   whose demand exceeds m·len.  Each start costs T + cells + jobs, which
-   is what it is charged. *)
-let interval_scan ts windows ?allowed budget ?detect_m () =
+   counts a job's cells in [start, start+len) and slack = D − C.  Returns
+   the max ⌈demand/len⌉ over the deadline points.  Each start costs
+   T + cells + jobs, which is what it is charged; a truncated sweep
+   returns the bound so far. *)
+let interval_bound ts windows budget =
   let horizon = Windows.horizon windows in
   let jobs = Windows.jobs windows in
   let njobs = Array.length jobs in
-  let counts task s = match allowed with None -> true | Some a -> a.(task).(s) in
-  (* The jobs with a counted cell at each slot, and each job's slack. *)
+  (* The jobs with a window cell at each slot, and each job's slack. *)
   let at_slot = Array.make horizon [] and slack = Array.make njobs 0 in
   Array.iteri
     (fun g (job : Windows.job) ->
-      slack.(g) <- -(Taskset.task ts job.task).wcet;
-      Array.iter
-        (fun s ->
-          if counts job.task s then begin
-            at_slot.(s) <- g :: at_slot.(s);
-            slack.(g) <- slack.(g) + 1
-          end)
-        job.slots)
+      let task = Taskset.task ts job.task in
+      slack.(g) <- task.deadline - task.wcet;
+      Array.iter (fun s -> at_slot.(s) <- g :: at_slot.(s)) job.slots)
     jobs;
   let cells = Array.fold_left (fun acc l -> acc + List.length l) 0 at_slot in
   let at_slot = Array.map Array.of_list at_slot in
-  let note =
-    (if Option.is_some allowed then "post-fixpoint " else "")
-    ^ "interval pass truncated: work budget exhausted mid-sweep"
-  in
   let starts, ends = boundary_points ts windows in
   let inside = Array.make njobs 0 in
-  let bound = ref 1 and hit = ref None in
+  let bound = ref 1 in
   (try
      for start = 0 to horizon - 1 do
        if starts.(start) then begin
-         if not (spend budget (horizon + cells + njobs) ~note) then raise Exit;
+         if not (spend budget (horizon + cells + njobs) ~note:"") then raise Exit;
          Array.fill inside 0 njobs 0;
-         let demand = ref 0 and first_end = ref None in
+         let demand = ref 0 in
          (* [e] walks the slots: slot e joins, then the interval
             [start, start+len) ends at the next one.  len = T would be the
-            full hyperperiod: that is exactly the utilization test, already
-            run. *)
+            full hyperperiod: that is exactly the utilization bound. *)
          let e = ref start in
          for len = 1 to horizon - 1 do
            let here = at_slot.(!e) in
@@ -261,25 +241,12 @@ let interval_scan ts windows ?allowed budget ?detect_m () =
              if inside.(g) > slack.(g) then incr demand
            done;
            e := if !e = horizon - 1 then 0 else !e + 1;
-           if ends.(!e) then begin
-             bound := Int.max !bound (Intmath.cdiv !demand len);
-             match detect_m with
-             | Some m when Option.is_none !hit && !demand > m * len -> (
-               (* Ends are ranked by slot, so one past the wrap (e < start)
-                  outranks every earlier one. *)
-               match !first_end with
-               | Some (e', _, _) when e' < !e -> ()
-               | _ -> first_end := Some (!e, len, !demand))
-             | _ -> ()
-           end
-         done;
-         match !first_end with
-         | Some (_, len, demand) -> hit := Some (start, len, demand)
-         | None -> ()
+           if ends.(!e) then bound := Int.max !bound (Intmath.cdiv !demand len)
+         done
        end
      done
    with Exit -> ());
-  (!bound, !hit)
+  !bound
 
 (* ------------------------------------------------------------------ *)
 (* Post-fixpoint supply: Σ_t min(m, tasks still allowed at t).          *)
@@ -300,67 +267,50 @@ let check_args name ts ~m =
   if not (Taskset.is_constrained ts) then
     invalid_arg (name ^ ": arbitrary-deadline task set (reduce with Clone first)")
 
+let flow_note = "flow stopped early: work budget exhausted"
+
 let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m =
   check_args "Analysis.analyze" ts ~m;
   let t0 = Timer.now () in
-  let finish ~m_lower ~skipped verdict =
-    { verdict; m_lower; skipped; time_s = Timer.now () -. t0 }
-  in
-  let num, den = Taskset.utilization_num_den ts in
-  let u_bound = Intmath.cdiv num den in
+  let finish ~skipped verdict = { verdict; skipped; time_s = Timer.now () -. t0 } in
   if utilization_exceeds ts ~m then
-    finish ~m_lower:u_bound ~skipped:[]
+    let num, den = Taskset.utilization_num_den ts in
+    finish ~skipped:[]
       (Infeasible { Certificate.m; steps = [ Certificate.Utilization { demand = num; supply = m * den } ] })
   else begin
     let budget = { left = work_budget; notes = []; wall } in
-    let n = Taskset.size ts in
-    let horizon = Taskset.hyperperiod ts in
     if
       not
         (spend budget (window_work ts)
            ~note:
              (Printf.sprintf
                 "window passes skipped: instance cost %d exceeds work budget %d (n=%d, T=%d)"
-                (window_work ts) work_budget n horizon))
+                (window_work ts) work_budget (Taskset.size ts) (Taskset.hyperperiod ts)))
     then
-      (* Too large to inspect slot-by-slot: report the skip (the old
-         slot_capacity_shortfall guard was silent here) and fall back to
-         the utilization bound alone. *)
-      finish ~m_lower:u_bound ~skipped:budget.notes Undecided
+      (* Too large to inspect slot by slot: report the skip and leave the
+         instance to the search. *)
+      finish ~skipped:budget.notes Undecided
     else begin
-      let windows = Windows.build ts in
-      let fx = make_fx ts ~m windows in
-      let m_low = ref u_bound in
-      m_low := Int.max !m_low (zero_laxity_bound ts windows);
-      m_low := Int.max !m_low (supply_bound ts windows);
+      let fx = make_fx ts ~m (Windows.build ts) in
       match run_fixpoint fx with
       | exception Contradiction terminal ->
-        finish ~m_lower:!m_low ~skipped:budget.notes (Infeasible (certificate fx terminal))
-      | () -> (
-        let cap = post_supply fx in
-        let demand = Taskset.total_demand ts in
-        if cap < demand then
-          finish ~m_lower:!m_low ~skipped:budget.notes
-            (Infeasible (certificate fx (Certificate.Supply_shortfall { demand; supply = cap })))
+        finish ~skipped:budget.notes (Infeasible (certificate fx terminal))
+      | () ->
+        let supply = post_supply fx and demand = Taskset.total_demand ts in
+        if supply < demand then
+          finish ~skipped:budget.notes
+            (Infeasible (certificate fx (Certificate.Supply_shortfall { demand; supply })))
         else begin
-          (* Pristine sweep: lower bounds always; direct detection doubles
-             as the certificate source while no cell is blocked.  Once one
-             is, detection counts only the cells the fixpoint left. *)
-          let detect_m = if fx.blocked_cells = 0 then Some m else None in
-          let bound, pristine_hit = interval_scan ts windows budget ?detect_m () in
-          m_low := Int.max !m_low bound;
-          let hit =
-            if fx.blocked_cells = 0 then pristine_hit
-            else snd (interval_scan ts windows ~allowed:fx.allowed budget ~detect_m:m ())
+          (* The exact test, on the pristine windows: the fixpoint's
+             derivations are not needed by its certificate. *)
+          let verdict =
+            match Flow.solve ~spend:(fun cost -> spend budget cost ~note:flow_note) ts ~m with
+            | Flow.Schedule sched -> Feasible sched
+            | Flow.Cut cert -> Infeasible cert
+            | Flow.Stopped -> Undecided
           in
-          match hit with
-          | Some (start, len, demand) ->
-            finish ~m_lower:!m_low ~skipped:budget.notes
-              (Infeasible
-                 (certificate fx
-                    (Certificate.Interval_demand { start; len; demand; supply = m * len })))
-          | None -> finish ~m_lower:!m_low ~skipped:budget.notes Undecided
-        end)
+          finish ~skipped:budget.notes verdict
+        end
     end
   end
 
@@ -373,18 +323,12 @@ let m_lower_bound ?(work_budget = default_work_budget) ts =
   if not (spend budget (window_work ts) ~note:"") then u_bound
   else begin
     let windows = Windows.build ts in
-    let bound, _ = interval_scan ts windows budget () in
     Int.max
       (Int.max u_bound (zero_laxity_bound ts windows))
-      (Int.max (supply_bound ts windows) bound)
+      (Int.max (supply_bound ts windows) (interval_bound ts windows budget))
   end
 
 module For_tests = struct
-  let interval_scan ?allowed ts ~m =
-    let unlimited = { left = max_int; notes = []; wall = Timer.unlimited } in
-    interval_scan ts (Windows.build ts) ?allowed unlimited ~detect_m:m ()
-
-  let fixpoint_allowed ts ~m =
-    let fx = make_fx ts ~m (Windows.build ts) in
-    match run_fixpoint fx with exception Contradiction _ -> None | () -> Some fx.allowed
+  let interval_bound ts =
+    interval_bound ts (Windows.build ts) { left = max_int; notes = []; wall = Timer.unlimited }
 end

@@ -8,13 +8,12 @@ type step =
   | Slot_overload of { time : int }
   | Starved of { task : int; k : int; allowed : int; wcet : int }
   | Supply_shortfall of { demand : int; supply : int }
-  | Interval_demand of { start : int; len : int; demand : int; supply : int }
+  | Hall of { jobs : (int * int) list; demand : int; supply : int }
 
 type t = { m : int; steps : step list }
 
 let is_terminal = function
-  | Utilization _ | Slot_overload _ | Starved _ | Supply_shortfall _ | Interval_demand _ ->
-    true
+  | Utilization _ | Slot_overload _ | Starved _ | Supply_shortfall _ | Hall _ -> true
   | Forced _ | Saturated _ -> false
 
 (* Replay state: which in-window cells are still usable, and which tasks
@@ -45,16 +44,6 @@ let job_of st ~task ~k =
 
 let allowed_slots st (job : Windows.job) =
   Array.fold_left (fun acc s -> if st.allowed.(job.task).(s) then acc + 1 else acc) 0 job.slots
-
-(* Number of usable slots of [job] inside the cyclic interval
-   [start, start+len). *)
-let allowed_inside st (job : Windows.job) ~start ~len =
-  let horizon = Windows.horizon st.windows in
-  Array.fold_left
-    (fun acc s ->
-      if st.allowed.(job.task).(s) && Intmath.imod (s - start) horizon < len then acc + 1
-      else acc)
-    0 job.slots
 
 (* The supply of a utilization step is m·T itself, never a product that
    wrapped past [max_int]. *)
@@ -107,20 +96,32 @@ let check_step st step =
       cap := !cap + Int.min st.m !avail
     done;
     demand = total && supply = !cap && supply < demand
-  | Interval_demand { start; len; demand; supply } ->
-    start >= 0 && start < horizon && len >= 1 && len <= horizon
-    && supply = st.m * len
-    &&
-    let forced_demand =
-      Array.fold_left
-        (fun acc (job : Windows.job) ->
-          let wcet = (Taskset.task st.ts job.task).wcet in
-          let inside = allowed_inside st job ~start ~len in
-          let outside = allowed_slots st job - inside in
-          acc + Int.max 0 (wcet - outside))
-        0 (Windows.jobs st.windows)
+  | Hall { jobs; demand; supply } ->
+    (* Distinct jobs; each adds its C to the demand and one to the count
+       of every unblocked slot of its window. *)
+    let seen = Array.make (Windows.job_count st.windows) false in
+    let count = Array.make horizon 0 in
+    let rec recount acc = function
+      | [] -> Some acc
+      | (task, k) :: rest -> (
+        match job_of st ~task ~k with
+        | None -> None
+        | Some job ->
+          let g = Windows.global_index st.windows ~task ~index:k in
+          if seen.(g) then None
+          else begin
+            seen.(g) <- true;
+            Array.iter
+              (fun s -> if st.allowed.(task).(s) then count.(s) <- count.(s) + 1)
+              job.slots;
+            recount (acc + (Taskset.task st.ts task).wcet) rest
+          end)
     in
-    demand = forced_demand && demand > supply
+    (match recount 0 jobs with
+    | None -> false
+    | Some total ->
+      let cap = Array.fold_left (fun acc c -> acc + Int.min st.m c) 0 count in
+      demand = total && supply = cap && supply < demand)
 
 let validate ts platform (cert : t) =
   Platform.is_identical platform
@@ -139,6 +140,24 @@ let validate ts platform (cert : t) =
   match cert.steps with
   | [ Utilization { demand; supply } ] -> utilization_holds ts ~m:cert.m ~demand ~supply
   | steps -> go steps
+
+(* A job set, task by task: "τ1 {1, 2}, τ3 {1}", job numbers 1-based. *)
+let pp_jobs ppf jobs =
+  let by_task = Hashtbl.create 8 in
+  List.iter
+    (fun (task, k) ->
+      Hashtbl.replace by_task task (k :: Option.value ~default:[] (Hashtbl.find_opt by_task task)))
+    jobs;
+  let tasks = List.sort_uniq Int.compare (List.map fst jobs) in
+  let pp_task ppf task =
+    let ks = List.sort Int.compare (Hashtbl.find by_task task) in
+    Format.fprintf ppf "τ%d {%a}" (task + 1)
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+         (fun ppf k -> Format.pp_print_int ppf (k + 1)))
+      ks
+  in
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_task ppf tasks
 
 let pp_step ppf = function
   | Utilization { demand; supply } ->
@@ -160,10 +179,11 @@ let pp_step ppf = function
     Format.fprintf ppf
       "summed over the hyperperiod, the slot supply Σ min(m, available) = %d cannot cover the total demand %d"
       supply demand
-  | Interval_demand { start; len; demand; supply } ->
+  | Hall { jobs; demand; supply } ->
     Format.fprintf ppf
-      "the cyclic interval [%d, %d) must absorb %d forced unit(s) but supplies only m·%d = %d"
-      start (start + len) demand len supply
+      "the %d job(s) %a need %d unit(s), but their windows offer only %d (Σ over slots of \
+       min(m, how many of them hold the slot))"
+      (List.length jobs) pp_jobs jobs demand supply
 
 let pp ppf (cert : t) =
   Format.fprintf ppf "@[<v>infeasible on %d processor(s):@," cert.m;

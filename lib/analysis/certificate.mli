@@ -33,10 +33,12 @@ type step =
   | Supply_shortfall of { demand : int; supply : int }
       (** Summed over the hyperperiod, [Σ_t min(m, #unblocked tasks at t)]
           cannot cover the total demand.  Terminal. *)
-  | Interval_demand of { start : int; len : int; demand : int; supply : int }
-      (** Over the cyclic interval [[start, start+len)], the demand that
-          jobs are forced to place inside — [Σ max(0, C − unblocked window
-          slots outside)] — exceeds the supply [m·len].  Terminal. *)
+  | Hall of { jobs : (int * int) list; demand : int; supply : int }
+      (** The jobs [(task, k)] of [jobs] need [demand = Σ C] units, but
+          their windows supply only [supply = Σ_t min(m, number of them
+          whose unblocked window holds t)]: Hall's condition fails for
+          this set, so no schedule serves it.  Horn's max flow names the
+          set as its min cut ({!Flow}).  Terminal. *)
 
 type t = {
   m : int;  (** Processor count the infeasibility is proved for. *)
@@ -49,7 +51,10 @@ val validate : Rt_model.Taskset.t -> Rt_model.Platform.t -> t -> bool
     the recorded numbers exactly, and accepts only chains whose every
     prefix is justified and whose last step is a contradiction.  Returns
     [false] for non-identical platforms, platform/m mismatches, and
-    non-constrained task sets (no certificate is valid there). *)
+    non-constrained task sets (no certificate is valid there).  A
+    {!Hall} step is recounted in one pass over its jobs' windows, which
+    must be distinct jobs of the task set. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable rendering of the argument, one numbered step per line. *)
+(** Human-readable rendering of the argument, one numbered step per line;
+    a {!Hall} step lists its job set task by task. *)

@@ -120,8 +120,9 @@ type pass = Witness of Schedule.t | Report of Analysis.report | Skipped
    the only code that runs the witness stage or the analyzer before a
    search.  A witness decides a feasible instance outright; otherwise the
    analyzer, capped at half the remaining wall clock so that it cannot
-   take the search's whole allowance, refutes the instance or leaves it
-   to the search.  A cancelled budget skips the pass.  [contained] runs
+   take the search's whole allowance, decides the instance by its max
+   flow or, when its work budget or wall stops it, leaves it to the
+   search.  A cancelled budget skips the pass.  [contained] runs
    it the way the portfolio runs an arm: behind its failpoint, with a
    crash returned as [Error]; the sequential paths let exceptions
    through. *)
@@ -147,16 +148,20 @@ let static_pass ~contained ~analyze ~platform ~budget ts ~m =
               Resilience.Failpoint.hit "portfolio.analysis";
               run ()))
 
-(* The verdict a pass decides, if any; a crashed pass decides nothing. *)
+(* The verdict a pass decides, if any; a crashed pass decides nothing.
+   The flow's schedule is verified by [verified], like a search's. *)
 let decision = function
-  | Ok (Witness sched) -> Some (Feasible sched)
+  | Ok (Witness sched) | Ok (Report { Analysis.verdict = Analysis.Feasible sched; _ }) ->
+    Some (Feasible sched)
   | Ok (Report { Analysis.verdict = Analysis.Infeasible _; _ }) -> Some Infeasible
   | Ok (Report { Analysis.verdict = Analysis.Undecided; _ }) | Ok Skipped | Error _ -> None
 
 (* The one verify/clone path behind every entry point.  [search] decides
    a constrained system on a platform and returns its verdict plus
    whatever the entry point reports next to it; a [Feasible] schedule is
-   verified before it is returned.  Arbitrary deadlines are reduced via
+   verified before it is returned, unless [search] says that
+   [Verify.check] has already accepted it on this system (the witness
+   stage keeps only such schedules).  Arbitrary deadlines are reduced via
    the clone transform (Section VI-B): the search runs on the clone
    system, and the schedule it returns is verified there, mapped back to
    the original task ids and re-verified with the cyclic checker against
@@ -178,9 +183,9 @@ let verified ~who ~verify ~platform ts search =
   let m = Platform.processors platform in
   if Taskset.is_constrained ts then begin
     admit ts ~m;
-    let verdict, extra = search ~platform ts in
+    let verdict, checked, extra = search ~platform ts in
     (match verdict with
-    | Feasible schedule -> check_plain ~platform ts schedule
+    | Feasible schedule -> if not checked then check_plain ~platform ts schedule
     | Infeasible | Limit | Memout _ -> ());
     (verdict, extra)
   end
@@ -190,22 +195,30 @@ let verified ~who ~verify ~platform ts search =
     admit cloned ~m;
     let clone_platform = Clone.map_platform reduction platform in
     match search ~platform:clone_platform cloned with
-    | Feasible clone_schedule, extra ->
-      check_plain ~platform:clone_platform cloned clone_schedule;
+    | Feasible clone_schedule, checked, extra ->
+      if not checked then check_plain ~platform:clone_platform cloned clone_schedule;
       let mapped = Clone.map_schedule reduction clone_schedule in
       check "verify-mapped"
         (fun ~platform ts s -> Verify.check_cyclic ~platform ts s)
         ~platform ts mapped;
       (Feasible mapped, extra)
-    | ((Infeasible | Limit | Memout _) as other), extra -> (other, extra)
+    | ((Infeasible | Limit | Memout _) as other), _, extra -> (other, extra)
   end
 
+(* Whether the pass's schedule has already passed [Verify.check]: the
+   witness stage's has, the flow's has not. *)
+let checked = function Ok (Witness _) -> true | Ok (Report _ | Skipped) | Error _ -> false
+
 (* The static pass, then [search] unless the pass decided; [decided]
-   stands in for the search's report when it never runs. *)
+   stands in for the search's report when it never runs.  Returns the
+   verdict, whether its schedule is already checked, and the report. *)
 let after_static_pass ~analyze ~budget ~m ~platform ~decided ts search =
-  match decision (static_pass ~contained:false ~analyze ~platform ~budget ts ~m) with
-  | Some verdict -> (verdict, decided)
-  | None -> search ts
+  let pass = static_pass ~contained:false ~analyze ~platform ~budget ts ~m in
+  match decision pass with
+  | Some verdict -> (verdict, checked pass, decided)
+  | None ->
+    let verdict, extra = search ts in
+    (verdict, false, extra)
 
 (* One entry of the portfolio's report, with zero counters. *)
 let race_entry ?outcome ?(time_s = 0.) name status =
@@ -246,7 +259,7 @@ let solve_portfolio ?(specs = Portfolio.default_specs) ?jobs ?(budget = Timer.un
         let r = Portfolio.solve ~specs ?jobs ~budget ~seed ?stall_beats cts ~m in
         (r.Portfolio.verdict, r.Portfolio.winner, entry @ r.Portfolio.backends)
     in
-    (verdict, { Portfolio.verdict; winner; time_s = Timer.elapsed t0; backends })
+    (verdict, checked pass, { Portfolio.verdict; winner; time_s = Timer.elapsed t0; backends })
   in
   let verdict, r =
     verified ~who:"solve_portfolio" ~verify ~platform:(Platform.identical ~m) ts race

@@ -112,6 +112,13 @@ val solve :
     to {!Csp2.Het}); [Csp1_sat] and [Local_search] raise
     [Invalid_argument] for them. *)
 
+val admit : Rt_model.Taskset.t -> m:int -> unit
+(** The admission check every entry point runs first: [n·T] and [m·T]
+    within 10{^8} window cells, checked by division so that nothing wraps.
+    Exposed for the front ends that build an encoding themselves
+    ([mgrts dimacs]).
+    @raise Invalid_argument ["instance too large: ..."] otherwise. *)
+
 val feasible : ?solver:solver -> ?budget:Prelude.Timer.budget -> Rt_model.Taskset.t -> m:int -> bool option
 (** [Some true]/[Some false] when decided, [None] on limit/memout. *)
 

@@ -17,14 +17,16 @@ let var t ~task ~proc ~time = t.vars.(task).(proc).(time)
 let build ?platform ?(var_budget = 2_000_000) ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
   if Platform.processors platform <> m then invalid_arg "Csp1.build: platform/m mismatch";
-  let windows = Windows.build ts in
   let n = Taskset.size ts in
-  let horizon = Windows.horizon windows in
+  let horizon = Taskset.hyperperiod ts in
   (* Refuse models beyond the budget before allocating anything: this is
-     the moral equivalent of Choco's OOM on Table IV instances. *)
-  let requested = n * m * horizon in
-  if requested > var_budget then
-    raise (E.Too_large (Printf.sprintf "CSP1 needs %d variables (budget %d)" requested var_budget));
+     the moral equivalent of Choco's OOM on Table IV instances.  The
+     guard divides, as n·m·T wraps on hyperperiods near 10^18. *)
+  if m > var_budget / n || horizon > var_budget / n / Int.max 1 m then
+    raise
+      (E.Too_large
+         (Printf.sprintf "CSP1 needs %d x %d x %d variables (budget %d)" n m horizon var_budget));
+  let windows = Windows.build ts in
   let eng = E.create ~var_budget () in
   (* Constraint (2) and the heterogeneous domain restriction: out-of-window
      or zero-rate variables are constants 0. *)

@@ -21,13 +21,15 @@ exception Stopped
    (and once per processor row of constraint (3)), as the search polls
    its budget per node. *)
 let build_polled ~poll ?(var_budget = 2_000_000) ts ~m =
-  let windows = Windows.build ts in
   let n = Taskset.size ts in
-  let horizon = Windows.horizon windows in
-  if n * m * horizon > var_budget then
+  let horizon = Taskset.hyperperiod ts in
+  (* Checked before any table is built, by division: n·m·T wraps on
+     hyperperiods near 10^18. *)
+  if m > var_budget / n || horizon > var_budget / n / Int.max 1 m then
     raise
       (Fd.Engine.Too_large
-         (Printf.sprintf "CSP1-SAT needs %d cells (budget %d)" (n * m * horizon) var_budget));
+         (Printf.sprintf "CSP1-SAT needs %d x %d x %d cells (budget %d)" n m horizon var_budget));
+  let windows = Windows.build ts in
   poll ();
   let solver = S.create () in
   let cell = Array.init n (fun _ -> Array.make_matrix m horizon (-1)) in

@@ -1,7 +1,7 @@
 (** CSP2OPT benchmark section: the engine's two configurations.
 
-    Over a generated batch (Table I distribution, analyzer-decided
-    instances skipped so only real search is measured), runs four
+    Over a generated batch (Table I distribution, instances the analyzer
+    refutes skipped so only real search is measured), runs four
     configurations per instance under the configured per-run budget:
 
     - "classic": {!Csp2.Opt.solve} with [memo_mb:0] (D−C heuristic), the
@@ -27,7 +27,7 @@
 
 type totals = {
   instances : int;
-  searched : int;  (** Analyzer left undecided: the engines actually ran. *)
+  searched : int;  (** Not refuted by the analyzer: the engines actually ran. *)
   classic_decided : int;
   opt_decided : int;
   compared : int;  (** Decided by both classic and opt. *)

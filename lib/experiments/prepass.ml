@@ -5,6 +5,9 @@ type totals = {
   old_filter_refuted : int;
   static_refuted : int;
   certificates_valid : int;
+  flow_feasible : int;
+  flow_refuted : int;
+  flow_time_s : float;
   m_lower_raised : int;
   analysis_time_s : float;
 }
@@ -15,6 +18,9 @@ let empty =
     old_filter_refuted = 0;
     static_refuted = 0;
     certificates_valid = 0;
+    flow_feasible = 0;
+    flow_refuted = 0;
+    flow_time_s = 0.;
     m_lower_raised = 0;
     analysis_time_s = 0.;
   }
@@ -25,6 +31,18 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
     Gen.Generator.batch ~seed:(config.Config.seed + 4242) ~count:config.Config.instances params
   in
   let acc = ref { empty with instances = Array.length instances } in
+  (* The flow alone, timed on the instances it decided inside the
+     analyzer. *)
+  let flow_s ts ~m =
+    let t0 = Prelude.Timer.now () in
+    ignore (Analysis.Flow.solve ~spend:(fun _ -> true) ts ~m);
+    Prelude.Timer.now () -. t0
+  in
+  let by_flow (cert : Analysis.Certificate.t) =
+    match List.rev cert.Analysis.Certificate.steps with
+    | Analysis.Certificate.Hall _ :: _ -> true
+    | _ -> false
+  in
   Array.iteri
     (fun idx (ts, m) ->
       let t = !acc in
@@ -37,18 +55,33 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
           analysis_time_s = t.analysis_time_s +. report.Analysis.time_s;
           m_lower_raised =
             (t.m_lower_raised
-            + Bool.to_int (report.Analysis.m_lower > Taskset.min_processors ts));
+            + Bool.to_int (Analysis.m_lower_bound ts > Taskset.min_processors ts));
         }
       in
       acc :=
         (match report.Analysis.verdict with
         | Analysis.Infeasible cert ->
+          let t =
+            {
+              t with
+              static_refuted = t.static_refuted + 1;
+              certificates_valid =
+                (t.certificates_valid
+                + Bool.to_int (Analysis.Certificate.validate ts (Platform.identical ~m) cert));
+            }
+          in
+          if by_flow cert then
+            {
+              t with
+              flow_refuted = t.flow_refuted + 1;
+              flow_time_s = t.flow_time_s +. flow_s ts ~m;
+            }
+          else t
+        | Analysis.Feasible _ ->
           {
             t with
-            static_refuted = t.static_refuted + 1;
-            certificates_valid =
-              (t.certificates_valid
-              + Bool.to_int (Analysis.Certificate.validate ts (Platform.identical ~m) cert));
+            flow_feasible = t.flow_feasible + 1;
+            flow_time_s = t.flow_time_s +. flow_s ts ~m;
           }
         | Analysis.Undecided -> t);
       progress idx)
@@ -64,5 +97,9 @@ let render t =
     t.old_filter_refuted;
   line "  certificates re-validated %4d  (of %d refutations)" t.certificates_valid
     t.static_refuted;
+  line "  decided by the flow       %4d  (%d feasible, %d refuted by a Hall set; %.3fs of flow)"
+    (t.flow_feasible + t.flow_refuted) t.flow_feasible t.flow_refuted t.flow_time_s;
+  line "  left undecided            %4d"
+    (t.instances - t.static_refuted - t.flow_feasible);
   line "  m lower bound beat ceil(U) on %d instance(s)" t.m_lower_raised;
   Buffer.contents b

@@ -1,17 +1,17 @@
-(* Reference implementation of the analyzer's interval demand-bound scan,
-   in its direct form: it recounts every job for every candidate
-   (start, end) pair.  It is slow, so it serves only as a test oracle on
-   small instances. *)
+(* Reference implementation of the interval demand bound behind
+   [Analysis.m_lower_bound], in its direct form: it recounts every job for
+   every candidate (start, end) pair.  It is slow, so it serves only as a
+   test oracle on small instances. *)
 
 open Prelude
 open Rt_model
 
 let overlap a b c d = Int.max 0 (Int.min b d - Int.max a c)
 
-(* Pristine slots of a job inside the cyclic interval, in O(1): both the
-   window [r, r+D) and the interval live in [0, 2T), so three interval
-   copies (shifted by −T, 0, +T) cover every cyclic intersection. *)
-let pristine_inside ~horizon ~release ~deadline ~start ~len =
+(* Slots of a job inside the cyclic interval, in O(1): both the window
+   [r, r+D) and the interval live in [0, 2T), so three interval copies
+   (shifted by −T, 0, +T) cover every cyclic intersection. *)
+let inside ~horizon ~release ~deadline ~start ~len =
   let r2 = release + deadline in
   overlap release r2 (start - horizon) (start + len - horizon)
   + overlap release r2 start (start + len)
@@ -30,35 +30,18 @@ let boundary_points ts windows =
   let collect flags = List.filter (fun s -> flags.(s)) (List.init horizon Fun.id) in
   (collect starts, collect ends)
 
-(* The largest ⌈demand/len⌉ over the candidate intervals, and the first
-   (start, len, demand) in (start, end) order with demand > m·len.  A
-   job's demand is max(0, C − usable cells outside): on the pristine
-   windows counted in O(1), with [allowed] by rescanning its window for
-   the allowed cells. *)
-let interval_scan ?allowed ts ~m =
+(* The largest ⌈demand/len⌉ over the candidate intervals (at least 1),
+   where a job's demand is max(0, C − cells outside). *)
+let interval_bound ts =
   let windows = Windows.build ts in
   let horizon = Windows.horizon windows in
   let starts, ends = boundary_points ts windows in
   let forced_units ~start ~len (job : Windows.job) =
     let task = Taskset.task ts job.task in
-    match allowed with
-    | None ->
-      let inside =
-        pristine_inside ~horizon ~release:job.release ~deadline:task.deadline ~start ~len
-      in
-      Int.max 0 (task.wcet - (task.deadline - inside))
-    | Some allowed ->
-      let inside = ref 0 and total = ref 0 in
-      Array.iter
-        (fun s ->
-          if allowed.(job.task).(s) then begin
-            incr total;
-            if Intmath.imod (s - start) horizon < len then incr inside
-          end)
-        job.slots;
-      Int.max 0 (task.wcet - (!total - !inside))
+    let inside = inside ~horizon ~release:job.release ~deadline:task.deadline ~start ~len in
+    Int.max 0 (task.wcet - (task.deadline - inside))
   in
-  let bound = ref 1 and hit = ref None in
+  let bound = ref 1 in
   List.iter
     (fun start ->
       List.iter
@@ -70,9 +53,8 @@ let interval_scan ?allowed ts ~m =
                 (fun acc job -> acc + forced_units ~start ~len job)
                 0 (Windows.jobs windows)
             in
-            if demand > 0 then bound := Int.max !bound (Intmath.cdiv demand len);
-            if !hit = None && demand > m * len then hit := Some (start, len, demand)
+            if demand > 0 then bound := Int.max !bound (Intmath.cdiv demand len)
           end)
         ends)
     starts;
-  (!bound, !hit)
+  !bound

@@ -1,7 +1,7 @@
 (* Tests for the static schedulability analyzer: verdicts on hand-crafted
    instances, independent certificate validation (including corrupted
-   certificates), and differential properties against the complete CSP2
-   backend. *)
+   certificates), the lower-bound sweep against its reference, and
+   differential properties against the complete CSP2 backend. *)
 
 open Rt_model
 module O = Encodings.Outcome
@@ -17,6 +17,7 @@ let validate ts ~m cert = A.Certificate.validate ts (Platform.identical ~m) cert
 let infeasible_cert name report =
   match report.A.verdict with
   | A.Infeasible cert -> cert
+  | A.Feasible _ -> Alcotest.fail (name ^ ": expected Infeasible, got Feasible")
   | A.Undecided -> Alcotest.fail (name ^ ": expected Infeasible, got Undecided")
 
 (* ------------------------------------------------------------------ *)
@@ -32,7 +33,7 @@ let test_utilization_certificate () =
   | [ A.Certificate.Utilization { demand = 23; supply = 12 } ] -> ()
   | _ -> Alcotest.fail "expected a bare utilization step");
   Alcotest.(check bool) "validates" true (validate ts ~m:1 cert);
-  check Alcotest.int "m_lower" 2 report.m_lower;
+  check Alcotest.int "m_lower" 2 (A.m_lower_bound ts);
   Alcotest.(check (list string)) "nothing skipped" [] report.skipped
 
 (* Three laxity-zero tasks share the slots {0,1}: every feasible schedule
@@ -45,7 +46,7 @@ let test_slot_overload () =
   Alcotest.(check bool) "validates" true (validate ts ~m:2 cert);
   Alcotest.(check bool) "overload terminal" true
     (match List.rev cert.steps with A.Certificate.Slot_overload _ :: _ -> true | _ -> false);
-  check Alcotest.int "m_lower from forced slots" 3 report.m_lower
+  check Alcotest.int "m_lower from forced slots" 3 (A.m_lower_bound ts)
 
 (* Saturation cascade: two laxity-zero tasks saturate slots 0 and 1, which
    blocks the third task's only window and forces it into slot 1 — a
@@ -60,8 +61,10 @@ let test_saturation_cascade () =
 
 (* Interval demand: on [0, 4) tasks τ1 and τ2 are forced to place 3 units
    each while m = 1 supplies 4 slots.  Utilization is exactly 1 and the
-   hyperperiod supply matches the demand, so only the interval test can
-   refute this instance statically. *)
+   hyperperiod supply matches the demand, so the cheap passes leave it to
+   the flow, whose min cut is the Hall set {τ1's job 1, τ2's job 1}: 7
+   units in the 5 slots of their windows.  The interval argument is the
+   special case of that set forced into one interval. *)
 let interval_trap =
   Taskset.of_tuples [ (0, 3, 4, 6); (0, 4, 5, 12); (10, 1, 2, 12); (5, 1, 1, 12) ]
 
@@ -71,12 +74,14 @@ let test_interval_demand () =
   let report = analyze ts ~m:1 in
   let cert = infeasible_cert "interval trap" report in
   Alcotest.(check bool) "validates" true (validate ts ~m:1 cert);
-  Alcotest.(check bool) "interval terminal" true
-    (match List.rev cert.steps with A.Certificate.Interval_demand _ :: _ -> true | _ -> false);
+  Alcotest.(check bool) "Hall terminal" true
+    (match List.rev cert.steps with
+    | [ A.Certificate.Hall { jobs = [ (0, 0); (1, 0) ]; demand = 7; supply = 5 } ] -> true
+    | _ -> false);
   (* The interval argument is m-independent here: ⌈6/4⌉ = 2 processors are
      needed although ⌈U⌉ = 1. *)
-  check Alcotest.int "m_lower beats ceil U" 2 report.m_lower;
-  check Alcotest.int "m_lower_bound agrees" 2 (A.m_lower_bound ts)
+  check Alcotest.int "m_lower beats ceil U" 2 (A.m_lower_bound ts);
+  check Alcotest.int "m_lower_bound agrees" 2 (A.For_tests.interval_bound ts)
 
 (* U exactly m must NOT be filtered by r > 1 (r = 1 is allowed) — but the
    analyzer is strictly stronger: both tasks' only window is slot 0, so the
@@ -101,12 +106,13 @@ let test_supply_shortfall () =
   | A.Infeasible _ -> Alcotest.fail "feasible on two processors"
   | _ -> ()
 
-(* The analyzer only refutes: a trivially feasible instance stays
-   undecided here, and the witness stage ahead of it schedules it. *)
+(* A trivially feasible instance gets the flow's schedule, and the
+   witness stage ahead of the analyzer schedules it too. *)
 let test_trivially_feasible () =
   let ts = Taskset.of_tuples [ (0, 1, 2, 2); (0, 1, 2, 2) ] in
   (match (analyze ts ~m:2).A.verdict with
-  | A.Undecided -> ()
+  | A.Feasible sched -> Alcotest.(check bool) "flow schedule verified" true (Verify.is_feasible ts sched)
+  | A.Undecided -> Alcotest.fail "the flow decides it"
   | A.Infeasible _ -> Alcotest.fail "refuted a feasible instance");
   match Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited ts ~m:2 with
   | Some sched -> Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched)
@@ -118,7 +124,7 @@ let test_budget_skip_is_reported () =
   let ts = Examples.running_example in
   let report = analyze ~work_budget:10 ts ~m:2 in
   Alcotest.(check bool) "skip reported" true (report.A.skipped <> []);
-  check Alcotest.int "m_lower still exact" 2 report.A.m_lower;
+  check Alcotest.int "m_lower still exact" 2 (A.m_lower_bound ~work_budget:10 ts);
   match report.A.verdict with
   | A.Undecided -> ()
   | _ -> Alcotest.fail "budget-starved analysis must stay inconclusive"
@@ -127,7 +133,7 @@ let test_wall_budget_skip_is_reported () =
   (* An already-expired wall budget must stop the window passes at the
      first checkpoint — reported, never silently degraded — so a caller
      capping the analyzer (the pre-search pass, at half the remaining
-     wall) cannot lose its whole allowance to a slow interval scan. *)
+     wall) cannot lose its whole allowance to a slow pass. *)
   let ts = Examples.running_example in
   let wall = Prelude.Timer.budget ~wall_s:0.0 () in
   let report = A.analyze ~wall ts ~m:2 in
@@ -183,8 +189,8 @@ let test_corrupted_certificates_rejected () =
   let tampered_demand =
     tamper
       (List.map (function
-        | A.Certificate.Interval_demand i ->
-          A.Certificate.Interval_demand { i with demand = i.demand + 1 }
+        | A.Certificate.Hall { jobs; demand; supply } ->
+          A.Certificate.Hall { jobs; demand = demand + 1; supply }
         | s -> s))
   in
   Alcotest.(check bool) "tampered demand" false (validate ts ~m:1 tampered_demand);
@@ -194,9 +200,7 @@ let test_corrupted_certificates_rejected () =
     (A.Certificate.validate ts (Platform.identical ~m:2) cert);
   Alcotest.(check bool) "empty chain" false
     (validate ts ~m:1 { A.Certificate.m = 1; steps = [] });
-  let no_terminal =
-    tamper (List.filter (function A.Certificate.Interval_demand _ -> false | _ -> true))
-  in
+  let no_terminal = tamper (List.filter (function A.Certificate.Hall _ -> false | _ -> true)) in
   Alcotest.(check bool) "derivations only" false (validate ts ~m:1 no_terminal);
   (* A fabricated overload on a healthy instance must not validate. *)
   let fake =
@@ -213,90 +217,36 @@ let contains s sub =
 let test_certificate_pp () =
   let cert = infeasible_cert "interval trap" (analyze interval_trap ~m:1) in
   let s = Format.asprintf "%a" A.Certificate.pp cert in
-  Alcotest.(check bool) "mentions the interval" true (contains s "interval")
+  Alcotest.(check bool) "prints the Hall set" true (contains s "τ1 {1}, τ2 {1}")
 
 (* ------------------------------------------------------------------ *)
 (* The interval sweep against its reference form                       *)
 
 module Ref = Analysis_ref
 
-(* The references are cubic in the hyperperiod, so instances with T > 120
+(* The reference is cubic in the hyperperiod, so instances with T > 120
    are drawn again. *)
 let rec reference_instance_gen () =
   let open QCheck2.Gen in
   Test_util.instance_gen ~nmax:8 ~tmax:8 () >>= fun (ts, m) ->
-  if Taskset.hyperperiod ts > 120 then reference_instance_gen ()
-  else int_bound 1_000_000 >>= fun seed -> return (ts, m, seed)
+  if Taskset.hyperperiod ts > 120 then reference_instance_gen () else return (ts, m)
 
-let print_reference_instance (ts, m, seed) =
-  Printf.sprintf "%s seed=%d" (Test_util.print_instance (ts, m)) seed
-
-(* The cells the fixpoint leaves (all window cells when it refutes m),
-   thinned at random down to no fewer than C per job: the sweep's
-   allowed-aware mode on more blocked cells than the fixpoint alone
-   produces. *)
-let thinned_cells ts ~m ~seed =
-  let allowed =
-    match A.For_tests.fixpoint_allowed ts ~m with
-    | Some allowed -> allowed
-    | None ->
-      let allowed = Array.make_matrix (Taskset.size ts) (Taskset.hyperperiod ts) false in
-      Array.iter
-        (fun (job : Windows.job) ->
-          Array.iter (fun s -> allowed.(job.task).(s) <- true) job.slots)
-        (Windows.jobs (Windows.build ts));
-      allowed
-  in
-  let st = Random.State.make [| seed |] in
-  Array.iter
-    (fun (job : Windows.job) ->
-      let wcet = (Taskset.task ts job.task).wcet in
-      let usable s = allowed.(job.task).(s) in
-      let left = ref (List.length (List.filter usable (Array.to_list job.slots))) in
-      Array.iter
-        (fun s ->
-          if usable s && !left > wcet && Random.State.int st 4 = 0 then begin
-            allowed.(job.task).(s) <- false;
-            decr left
-          end)
-        job.slots)
-    (Windows.jobs (Windows.build ts));
-  allowed
-
-(* On the pristine windows and on blocked cells, the sweep finds the
-   reference recount's bound and first hit, and every interval refutation
-   re-validates. *)
+(* The sweep behind [m_lower_bound] finds the reference recount's bound. *)
 let prop_sweep_matches_reference =
-  qtest ~count:300 "interval sweep matches its reference"
-    (reference_instance_gen ()) ~print:print_reference_instance
-    (fun (ts, m, seed) ->
-      let pristine = A.For_tests.interval_scan ts ~m = Ref.interval_scan ts ~m in
-      let blocked =
-        let allowed = thinned_cells ts ~m ~seed in
-        A.For_tests.interval_scan ~allowed ts ~m = Ref.interval_scan ~allowed ts ~m
-      in
-      let certified =
-        match (analyze ~work_budget:max_int ts ~m).A.verdict with
-        | A.Infeasible cert
-          when List.exists
-                 (function A.Certificate.Interval_demand _ -> true | _ -> false)
-                 cert.A.Certificate.steps ->
-          validate ts ~m cert
-        | _ -> true
-      in
-      pristine && blocked && certified)
+  qtest ~count:300 "interval sweep matches its reference" (reference_instance_gen ())
+    ~print:Test_util.print_instance (fun (ts, _) ->
+      A.For_tests.interval_bound ts = Ref.interval_bound ts)
 
 (* The benchmark's fresh corpus, the paper's Section VII regime: at the
    default work budget the static pass must finish on every instance that
-   gets past the utilization test, with no pass truncated or skipped.  The
-   number it refutes is a deterministic count, pinned here; the corpus's
-   feasible instances are the witness stage's (test_witness.ml). *)
+   gets past the utilization test, with no pass truncated or skipped, and
+   decide it.  The counts are deterministic, pinned here. *)
 let test_fresh_corpus_complete () =
   let corpus =
     Gen.Generator.batch ~seed:0 ~count:64
       (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)
   in
-  let reached = ref 0 and decided = ref 0 in
+  let reached = ref 0 and decided = ref 0 and feasible = ref 0 in
   Array.iter
     (fun (ts, m) ->
       if not (A.utilization_exceeds ts ~m) then begin
@@ -307,11 +257,15 @@ let test_fresh_corpus_complete () =
         | A.Infeasible cert ->
           Alcotest.(check bool) "certificate validates" true (validate ts ~m cert);
           incr decided
+        | A.Feasible sched ->
+          Alcotest.(check bool) "schedule verifies" true (Verify.is_feasible ts sched);
+          incr feasible
         | A.Undecided -> ()
       end)
     corpus;
   check Alcotest.int "instances past the utilization test" 32 !reached;
-  check Alcotest.int "refuted statically" 3 !decided
+  check Alcotest.int "refuted statically" 5 !decided;
+  check Alcotest.int "scheduled by the flow" 27 !feasible
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties against the complete CSP2 backend            *)
@@ -320,8 +274,9 @@ let solve_exact ts ~m =
   let budget = Prelude.Timer.budget ~wall_s:10.0 () in
   fst (Csp2.Opt.solve ~memo_mb:0 ~budget ts ~m)
 
-(* Every Infeasible verdict carries a valid certificate and never
-   contradicts the complete solver. *)
+(* Every Infeasible verdict carries a valid certificate, every Feasible
+   one a schedule that verifies, and neither contradicts the complete
+   solver. *)
 let prop_analyzer_agrees_with_backend =
   qtest ~count:300 "analyzer never contradicts CSP2"
     (Test_util.instance_gen ())
@@ -332,6 +287,9 @@ let prop_analyzer_agrees_with_backend =
       | A.Infeasible cert ->
         validate ts ~m cert
         && (match solve_exact ts ~m with O.Feasible _ -> false | _ -> true)
+      | A.Feasible sched ->
+        Verify.is_feasible ts sched
+        && (match solve_exact ts ~m with O.Infeasible -> false | _ -> true)
       | A.Undecided -> true)
 
 (* The m-independent lower bound never excludes a feasible processor

@@ -26,6 +26,17 @@ expect() {
 }
 
 expect 0 "decided solve" solve "$EXAMPLE" -m 2 --quiet
+
+# The analyzer alone: a certified refutation exits 0; the flow's schedule
+# is verified and reported, but "not refuted" keeps exit 2.
+expect 0 "analyze refutes" analyze "$EXAMPLE" -m 1
+out=$("$MGRTS" analyze "$EXAMPLE" -m 2 2>&1)
+got=$?
+[ "$got" -eq 2 ] || fail "analyze, feasible: expected exit 2, got $got"
+case "$out" in
+*"statically feasible"*) ;;
+*) fail "analyze, feasible: got '$out'" ;;
+esac
 expect 3 "m = 0" solve "$EXAMPLE" -m 0
 expect 3 "malformed task set" solve "$MALFORMED" -m 2
 
@@ -51,9 +62,9 @@ got=$?
 [ "$got" -eq 3 ] || fail "huge hyperperiod (simulate): expected exit 3, got $got"
 
 # The same set is over the admission cap of 10⁸ window cells (n·T and m·T):
-# the default solver, the portfolio and the analyzer refuse it before
-# allocating anything, with one message.
-for args in "solve" "solve --solver portfolio" "analyze"; do
+# the default solver, the portfolio, the analyzer and the DIMACS export
+# refuse it before allocating anything, with one message.
+for args in "solve" "solve --solver portfolio" "analyze" "dimacs"; do
   # shellcheck disable=SC2086 # $args holds several words on purpose
   err=$(ulimit -v 1000000; "$MGRTS" $args "$HUGE" -m 5 2>&1 >/dev/null)
   got=$?

@@ -33,11 +33,12 @@ let test_complete_solvers_prove_infeasibility () =
 let test_feasible_helper () =
   Alcotest.(check (option bool)) "m=2" (Some true) (Core.feasible running ~m:2);
   Alcotest.(check (option bool)) "m=1" (Some false) (Core.feasible running ~m:1);
-  (* Seed 15's instance has no LLF witness and the analyzer only prunes
-     it, so the 1-node budget reaches the search. *)
+  (* Seed 15's instance has no LLF witness, and the analyzer's flow
+     decides it unless the wall is spent: then the pass steps aside and
+     the 1-node budget reaches the search. *)
   Alcotest.(check (option bool)) "tiny budget -> None" None
     (Core.feasible ~solver:Core.Csp1_generic
-       ~budget:(Prelude.Timer.budget ~nodes:1 ())
+       ~budget:(Prelude.Timer.budget ~wall_s:0. ~nodes:1 ())
        (fst (Gen.Generator.generate (Prelude.Prng.create ~seed:15)
                (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)))
        ~m:5)
@@ -198,7 +199,7 @@ let test_analyze_facade () =
   | Analysis.Infeasible cert ->
     Alcotest.(check bool) "certificate validates" true
       (Analysis.Certificate.validate analyzed (Platform.identical ~m:1) cert)
-  | Analysis.Undecided ->
+  | Analysis.Feasible _ | Analysis.Undecided ->
     Alcotest.fail "running example is statically refutable on m=1");
   (* Arbitrary deadlines: the report refers to the clone system. *)
   let ts = Examples.arbitrary_deadline in

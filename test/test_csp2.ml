@@ -319,7 +319,7 @@ let test_opt_memo_prunes () =
         | Analysis.Infeasible cert ->
           Alcotest.(check bool) "analyzer certificate validates" true
             (Analysis.Certificate.validate ts (Platform.identical ~m) cert)
-        | Analysis.Undecided -> Alcotest.fail "analyzer should refute"
+        | Analysis.Feasible _ | Analysis.Undecided -> Alcotest.fail "analyzer should refute"
       end)
     instances;
   check Alcotest.int "memo-off runs decided at 250 000 nodes" 19 !both_decided;
@@ -678,19 +678,16 @@ let test_parity_table1 () = check_parity ~nodes:20_000 ~expect:322 (Lazy.force t
 let test_parity_table1_weak () =
   check_parity ~urgency:false ~nodes:5_000 ~expect:322 (Lazy.force table1_stream)
 
-(* The benchmark corpora past the front door that the analyzer leaves
-   undecided: what a serve miss can hand the search. *)
+(* The benchmark corpora past the front door: a superset of what a serve
+   miss can hand the search, now that the pre-search pass decides every
+   corpus instance. *)
 let test_parity_corpus w ~expect () =
   let module W = Mgrts_bench.Workload in
   check_parity ~nodes:W.nodes ~expect
     (List.filter_map
        (fun (item : W.item) ->
          let ts = item.W.inst.W.ts and m = item.W.inst.W.m in
-         if Analysis.utilization_exceeds ts ~m then None
-         else
-           match (Analysis.analyze ts ~m).Analysis.verdict with
-           | Analysis.Undecided -> Some (ts, m)
-           | Analysis.Infeasible _ -> None)
+         if Analysis.utilization_exceeds ts ~m then None else Some (ts, m))
        (Array.to_list (W.corpus w)))
 
 let test_urgency_off_needs_memo_off () =
@@ -808,9 +805,9 @@ let () =
           Alcotest.test_case "Table I stream" `Quick test_parity_table1;
           Alcotest.test_case "Table I stream, urgency off" `Quick test_parity_table1_weak;
           Alcotest.test_case "fresh corpus, pruned domains" `Quick
-            (test_parity_corpus Mgrts_bench.Workload.Fresh ~expect:29);
+            (test_parity_corpus Mgrts_bench.Workload.Fresh ~expect:32);
           Alcotest.test_case "tight corpus, pruned domains" `Quick
-            (test_parity_corpus Mgrts_bench.Workload.Tight ~expect:50);
+            (test_parity_corpus Mgrts_bench.Workload.Tight ~expect:64);
           Alcotest.test_case "repeat corpus, pruned domains" `Quick
             (test_parity_corpus Mgrts_bench.Workload.Repeat ~expect:32);
           Alcotest.test_case "urgency off needs memo off" `Quick test_urgency_off_needs_memo_off;

@@ -72,6 +72,20 @@ let test_memout () =
   | O.Memout _, None -> ()
   | _ -> Alcotest.fail "tiny budget must memout (SAT)"
 
+(* T ≈ 1.6·10¹⁸: n·m·T wraps past max_int, so both builders' size guards
+   divide, and they run before any window table is allocated. *)
+let test_huge_hyperperiod () =
+  let ts = Io.load_taskset "fixtures/huge_hyperperiod.txt" in
+  List.iter
+    (fun (name, build) ->
+      match build () with
+      | () -> Alcotest.failf "%s built a model over T = %d" name (Taskset.hyperperiod ts)
+      | exception Fd.Engine.Too_large _ -> ())
+    [
+      ("csp1", fun () -> ignore (Encodings.Csp1.build ts ~m:5));
+      ("csp1-sat", fun () -> ignore (Encodings.Csp1_sat.build ts ~m:5));
+    ]
+
 (* The CNF builder polls the budget before its first clause: a spent
    budget returns [Limit] without building the CNF or running the SAT
    solver (no stats). *)
@@ -210,6 +224,7 @@ let () =
           Alcotest.test_case "csp2 variables and constraint (7)" `Quick
             test_csp2_fd_variable_count;
           Alcotest.test_case "memout emulation" `Quick test_memout;
+          Alcotest.test_case "huge hyperperiod is too large" `Quick test_huge_hyperperiod;
           Alcotest.test_case "sat build polls the budget" `Quick test_sat_build_polls_budget;
           Alcotest.test_case "dimacs export" `Quick test_dimacs_export;
         ] );

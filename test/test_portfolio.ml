@@ -26,8 +26,9 @@ let hard_instance () =
   let params = Gen.Generator.default ~n:12 ~m:(Gen.Generator.Fixed_m 4) ~tmax:7 in
   (Gen.Generator.batch ~seed:1 ~count:1 params).(0)
 
-(* [gen -n 10 -m 5 --tmax 7 --seed 24]: feasible, with no LLF witness, and
-   the analyzer only prunes it, so every entry point reaches its search. *)
+(* [gen -n 10 -m 5 --tmax 7 --seed 24]: feasible, with no LLF witness; the
+   analyzer's max flow decides it, so the pass steps aside only when its
+   wall is spent. *)
 let seed24 () =
   let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
   (Gen.Generator.batch ~seed:24 ~count:1 params).(0)
@@ -229,10 +230,19 @@ let test_static_analysis_arm () =
         if b.P.name <> P.analysis_arm_name then
           Alcotest.(check bool) (b.P.name ^ " never started") true (b.P.outcome = None))
       r.P.backends);
-  (* A feasible race the pass cannot decide still lists the pass first,
-     non-decisive. *)
+  (* A feasible instance without an LLF witness: the pass decides it by
+     its flow, ahead of every arm. *)
   let ts, m = seed24 () in
   let r = Core.solve_portfolio ts ~m in
+  (match r.P.backends with
+  | stage :: _ when injected () && arm_crashed stage -> ()
+  | _ ->
+    check Alcotest.(option string) "the flow decides" (Some P.analysis_arm_name) r.P.winner;
+    Alcotest.(check bool) "feasible" true
+      (match r.P.verdict with O.Feasible _ -> true | _ -> false));
+  (* With its wall spent the pass cannot decide: the race still lists it
+     first, non-decisive. *)
+  let r = Core.solve_portfolio ~budget:(Prelude.Timer.budget ~wall_s:0. ()) ts ~m in
   match r.P.backends with
   | stage :: _ ->
     check Alcotest.string "the pass is listed first" P.analysis_arm_name stage.P.name;
@@ -269,7 +279,7 @@ let test_core_solve_portfolio_arbitrary_deadlines () =
 
 (* The pre-search pass runs once per request, whatever the entry point:
    one [static-pass] span each, and none from the bare race.  The node
-   budget only bounds the memo-off search, which cannot decide this
+   budget bounds the bare race, whose memo-off arms cannot decide this
    instance in seconds. *)
 let test_static_pass_runs_once () =
   let ts, m = seed24 () in
