@@ -180,6 +180,51 @@ let verify_check_cyclic_test =
          let ts, sched = Lazy.force pinned_5x420 in
          ignore (Rt_model.Verify.check_cyclic ts sched)))
 
+(* A warm feasible cache hit on the same instance, as a serve worker runs
+   it (fingerprint, lookup, relabel, verify-on-hit), and the rendering of
+   its response line, schedule included. *)
+let pinned_hit =
+  lazy
+    (let t =
+       Serve.Scheduler.create
+         ~config:{ (Serve.Scheduler.default_config ()) with workers = 1; jobs_per_request = 1 }
+         ~emit:ignore ()
+     in
+     let req =
+       {
+         Serve.Proto.id = "micro";
+         tuples =
+           Array.to_list
+             (Array.map
+                (fun (tk : Rt_model.Task.t) ->
+                  Rt_model.Task.(tk.offset, tk.wcet, tk.deadline, tk.period))
+                (Rt_model.Taskset.tasks pinned_5x420_taskset));
+         m = 5;
+         solver = None;
+         wall_s = None;
+         nodes = None;
+         seed = 0;
+         want_schedule = true;
+         no_cache = false;
+       }
+     in
+     ignore (Serve.Scheduler.process t ~queue_s:0. req);
+     let hit = Serve.Scheduler.process t ~queue_s:0. req in
+     if not hit.Serve.Proto.r_cached then failwith "micro: the pinned request did not hit";
+     (t, req, hit))
+
+let serve_hit_test =
+  Test.make ~name:"serve.hit(5x420)"
+    (Staged.stage (fun () ->
+         let t, req, _ = Lazy.force pinned_hit in
+         ignore (Serve.Scheduler.process t ~queue_s:0. req)))
+
+let proto_render_test =
+  Test.make ~name:"proto.render(5x420)"
+    (Staged.stage (fun () ->
+         let _, _, hit = Lazy.force pinned_hit in
+         ignore (Serve.Proto.response_json hit)))
+
 let tests =
   Test.make_grouped ~name:"mgrts" ~fmt:"%s/%s"
     [
@@ -200,6 +245,8 @@ let tests =
       generator_test;
       verify_check_test;
       verify_check_cyclic_test;
+      serve_hit_test;
+      proto_render_test;
       telemetry_disabled_heartbeat_test;
       telemetry_disabled_span_test;
       failpoint_disarmed_test;

@@ -42,15 +42,7 @@ let map_schedule t sched =
   let horizon = Taskset.hyperperiod t.cloned in
   if Schedule.horizon sched <> horizon then
     invalid_arg "Clone.map_schedule: horizon differs from the clone hyperperiod";
-  let m = Schedule.m sched in
-  let out = Schedule.create ~m ~horizon in
-  for proc = 0 to m - 1 do
-    for time = 0 to horizon - 1 do
-      let v = Schedule.get sched ~proc ~time in
-      if v <> Schedule.idle then Schedule.set out ~proc ~time t.origin.(v)
-    done
-  done;
-  out
+  Schedule.relabel t.origin sched
 
 let map_platform t platform =
   if Platform.is_identical platform then platform

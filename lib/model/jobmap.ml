@@ -25,7 +25,8 @@ let first_of_task t i = t.first.(i)
 
 (* The job among [count] whose window holds absolute instant [abs], or -1.
    A top-level function, not a local closure: [local_job_at] runs once per
-   executed cell in {!Verify.check}, which must not allocate per cell. *)
+   task and slot in [Csp2.Opt]'s eligibility build, which must not
+   allocate per call. *)
 let job_at_instant (tk : Task.t) ~offset ~count abs =
   if abs < offset then -1
   else

@@ -20,6 +20,23 @@ let set t ~proc ~time v =
 
 let copy t = { cells = Array.map Array.copy t.cells; horizon = t.horizon }
 
+let rows t = t.cells
+
+let relabel map t =
+  let rename row =
+    let out = Array.make t.horizon idle in
+    for time = 0 to t.horizon - 1 do
+      let v = row.(time) in
+      if v <> idle then begin
+        let v' = map.(v) in
+        if v' < idle then invalid_arg "Schedule.relabel: bad task id";
+        out.(time) <- v'
+      end
+    done;
+    out
+  in
+  { cells = Array.map rename t.cells; horizon = t.horizon }
+
 let of_cells c =
   let m = Array.length c in
   if m = 0 then invalid_arg "Schedule.of_cells: no processors";

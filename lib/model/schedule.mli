@@ -25,6 +25,17 @@ val set : t -> proc:int -> time:int -> int -> unit
 
 val copy : t -> t
 
+val rows : t -> int array array
+(** The cells themselves, [(rows s).(proc).(time)] for [time] in
+    [[0, horizon)]: not a copy, so a reader pays nothing per cell.
+    Read-only by contract: writing through it bypasses {!set}'s checks. *)
+
+val relabel : int array -> t -> t
+(** [relabel map s] renames task [v] to [map.(v)] in every busy cell of a
+    copy of [s], in one pass over its rows; idle cells stay idle.
+    @raise Invalid_argument if a busy cell holds an id outside [map], or
+    [map] gives an id below {!idle}. *)
+
 val of_cells : int array array -> t
 (** [of_cells c] wraps [c.(proc).(time)] (copied; rows must be rectangular
     and non-empty). *)

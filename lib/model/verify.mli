@@ -43,9 +43,16 @@ val check :
 (** [check ts sched] verifies the schedule for the task set on the given
     platform (default: identical with the schedule's processor count).
     At most [max_violations] (default 32) violations are collected.
+
+    Cost, for [m] processors over the hyperperiod [H] and [J = Σ_i H/T_i]
+    jobs: one pass over the schedule's rows, in which each executed cell
+    finds its job with one division and adds its units to one int array
+    of [J] entries.  Time is O(m·H + n + J), space O(n + J) words;
+    nothing is allocated per cell, except a violation when one is
+    reported.
     @raise Invalid_argument if the schedule horizon differs from the
-    hyperperiod or the platform's processor count differs from the
-    schedule's. *)
+    hyperperiod, the platform's processor count differs from the
+    schedule's, or some task has [D_i > T_i]. *)
 
 val check_cyclic :
   ?platform:Platform.t -> ?max_violations:int -> Taskset.t -> Schedule.t ->
@@ -66,19 +73,29 @@ val check_cyclic :
     (window membership and the per-cycle total, reported as
     {!Wrong_total}).
 
-    Cost, for a schedule of [m] processors over horizon [H], with [c_i]
-    executed cells of task [i] and [J_i = H/T_i] jobs: each cell tries
-    only the jobs whose window holds it, at most [⌈D_i/T_i⌉] of them (one
-    when [D_i <= T_i]), and the task's (job, instant) tables hold one
-    entry per instant of each job's window, [J_i·D_i].  Time is
-    O(m·H + Σ_i J_i·D_i) for the scan and the tables, plus
-    O(Σ_i c_i·⌈D_i/T_i⌉) when every cell is placed on its first try.
-    That is always the case on a feasible schedule with constrained
-    deadlines, where the whole check is O((m + n)·H).  Otherwise a cell
-    may run one depth-first search over its task's (cell, job, instant)
-    graph, which visits each cell and each table entry at most once.
-    Space is O(m·H + Σ_i J_i·D_i) words: O((m + n)·H) for constrained
-    deadlines.
+    Cost, for a schedule of [m] processors over horizon [H], with
+    [J_i = H/T_i] jobs of task [i] and [J = Σ_i J_i].  The check first
+    runs {!check}'s flat pass over the tasks with [D_i <= T_i], on
+    identical platforms: there a slot lies in at most one window of its
+    task, so the assignment has a single candidate per cell, and the pass
+    alone accepts the task when every cell is in a window, the task runs
+    at most once per slot, and every job gets exactly [C_i] units.  That
+    costs O(m·H + n + J) time and O(n + J) words, and it is the whole
+    check for a feasible constrained-deadline schedule, as every cache
+    hit of [mgrts serve] on the paper's task sets is.
+
+    The exact assignment runs for the tasks with [D_i > T_i], on
+    other platforms, and, for every task, on any schedule the pass
+    refuses, so that it alone reports and the violations and their order
+    stay its own.  With [c_i] executed cells of task [i], each cell tries
+    only the jobs whose window holds it, at most [⌈D_i/T_i⌉] of them, and
+    the task's (job, instant) tables hold one entry per instant of each
+    job's window, [J_i·D_i].  Time is O(m·H + Σ_i J_i·D_i) for the scan
+    and the tables, plus O(Σ_i c_i·⌈D_i/T_i⌉) when every cell is placed
+    on its first try; otherwise a cell may run one depth-first search
+    over its task's (cell, job, instant) graph, which visits each cell
+    and each table entry at most once.  Space is O(m·H + Σ_i J_i·D_i)
+    words: about 17 words per schedule cell on the paper's task sets.
     @raise Invalid_argument if the horizon is not a multiple of the
     hyperperiod, a deadline exceeds the horizon, or the platform's
     processor count differs from the schedule's. *)

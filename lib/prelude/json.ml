@@ -203,21 +203,32 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
-(* Digits of a non-negative int, most significant first, straight into
+(* Digits of [-n] for [n <= 0], most significant first, straight into
    the buffer: a schedule carries thousands of cells, and a formatted
-   string per cell would cost more than the rest of the response. *)
+   string per cell would cost more than the rest of the response.  The
+   non-positive side holds every magnitude, [min_int]'s included. *)
 let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
 
 (* JSON has no spelling for inf or nan: they print as null. *)
 let add_number buf v =
-  if Float.is_integer v && Float.abs v < 1e15 then begin
-    if v < 0. then Buffer.add_char buf '-';
-    add_digits buf (int_of_float (Float.abs v))
-  end
+  if Float.is_integer v && Float.abs v < 1e15 then add_int buf (int_of_float v)
   else if Float.is_finite v then Printf.bprintf buf "%.12g" v
   else Buffer.add_string buf "null"
+
+(* [add_number buf (float_of_int n)], without boxing the float where the
+   digits say the same. *)
+let add_int_number buf n =
+  if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then add_int buf n
+  else add_number buf (float_of_int n)
 
 let rec add buf v =
   match v with
@@ -235,19 +246,47 @@ let rec add buf v =
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, item) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        add_escaped buf k;
-        Buffer.add_string buf ": ";
-        add buf item)
-      fields;
+    add_fields buf fields;
     Buffer.add_char buf '}'
+
+and add_fields buf fields =
+  List.iteri
+    (fun i (k, item) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add_escaped buf k;
+      Buffer.add_string buf ": ";
+      add buf item)
+    fields
 
 let to_string v =
   let buf = Buffer.create 256 in
   add buf v;
   Buffer.contents buf
+
+let to_string_with_rows v ~name ~cell rows =
+  match v with
+  | Obj fields ->
+    let cells = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in
+    let buf = Buffer.create (256 + (3 * cells)) in
+    Buffer.add_char buf '{';
+    add_fields buf fields;
+    (match fields with [] -> () | _ :: _ -> Buffer.add_string buf ", ");
+    add_escaped buf name;
+    Buffer.add_string buf ": [";
+    Array.iteri
+      (fun i row ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_char buf '[';
+        for time = 0 to Array.length row - 1 do
+          if time > 0 then Buffer.add_char buf ',';
+          add_int_number buf (cell row.(time))
+        done;
+        Buffer.add_char buf ']')
+      rows;
+    Buffer.add_string buf "]}";
+    Buffer.contents buf
+  | Null | Bool _ | Num _ | Str _ | Arr _ ->
+    invalid_arg "Json.to_string_with_rows: not an object"
 
 let int i = Num (float_of_int i)
 

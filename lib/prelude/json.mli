@@ -30,8 +30,22 @@ val to_string : t -> string
     below 10{^15} print as integers, other finite numbers with 12
     significant digits, and non-finite numbers as [null]. *)
 
+val to_string_with_rows :
+  t -> name:string -> cell:(int -> int) -> int array array -> string
+(** [to_string_with_rows (Obj fields) ~name ~cell rows] is [to_string] of
+    [Obj fields] with one more field [name], last, holding [rows] as an
+    array of integer arrays whose entry for [x] is [int (cell x)].  It is
+    printed straight from the arrays, without building a value per entry:
+    a schedule grid in a serve response has thousands.
+    @raise Invalid_argument if the value is not an [Obj]. *)
+
 val int : int -> t
 (** [Num] of an int. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append an int's decimal digits, as [string_of_int] spells them,
+    without allocating.  Every integral number this module prints goes
+    through it; it serves text that is not JSON too, such as cache keys. *)
 
 (** {1 Accessors} — all total, returning [None] on a shape mismatch. *)
 

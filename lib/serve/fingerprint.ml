@@ -6,55 +6,53 @@ type t = {
   orig_of_canon : int array;
 }
 
-(* Field-wise tuple order; any fixed total order over (O, C, D, T) gives a
-   canonical form — ties (identical tuples) make the permutation
-   non-unique, but interchangeable tasks make any tie-break sound. *)
-let compare_tuples (o1, c1, d1, t1) (o2, c2, d2, t2) =
-  let c = Int.compare t1 t2 in
+(* Field-wise order on (T, D, C, O); any fixed total order over (O, C, D,
+   T) gives a canonical form — ties (identical tuples) make the
+   permutation non-unique, but interchangeable tasks make any tie-break
+   sound. *)
+let compare_tasks (a : Task.t) (b : Task.t) =
+  let c = Int.compare a.Task.period b.Task.period in
   if c <> 0 then c
   else
-    let c = Int.compare d1 d2 in
+    let c = Int.compare a.Task.deadline b.Task.deadline in
     if c <> 0 then c
     else
-      let c = Int.compare c1 c2 in
-      if c <> 0 then c else Int.compare o1 o2
+      let c = Int.compare a.Task.wcet b.Task.wcet in
+      if c <> 0 then c else Int.compare a.Task.offset b.Task.offset
 
 let of_taskset ts ~m =
   let tasks = Taskset.tasks ts in
   let n = Array.length tasks in
   let order = Array.init n (fun i -> i) in
-  let tuple i =
-    let t : Task.t = tasks.(i) in
-    (t.Task.offset, t.Task.wcet, t.Task.deadline, t.Task.period)
-  in
-  Array.sort (fun a b -> compare_tuples (tuple a) (tuple b)) order;
+  Array.sort (fun a b -> compare_tasks tasks.(a) tasks.(b)) order;
   let canon_of_orig = Array.make n 0 and orig_of_canon = Array.make n 0 in
   Array.iteri
     (fun canon orig ->
       canon_of_orig.(orig) <- canon;
       orig_of_canon.(canon) <- orig)
     order;
+  (* "m=<m>;H=<H>", then ";<O>,<C>,<D>,<T>" per task in canonical order. *)
   let buf = Buffer.create (32 + (n * 12)) in
-  Buffer.add_string buf (Printf.sprintf "m=%d;H=%d" m (Taskset.hyperperiod ts));
+  let int = Prelude.Json.add_int buf in
+  Buffer.add_string buf "m=";
+  int m;
+  Buffer.add_string buf ";H=";
+  int (Taskset.hyperperiod ts);
   Array.iter
     (fun orig ->
-      let o, c, d, t = tuple orig in
-      Buffer.add_string buf (Printf.sprintf ";%d,%d,%d,%d" o c d t))
+      let t : Task.t = tasks.(orig) in
+      Buffer.add_char buf ';';
+      int t.Task.offset;
+      Buffer.add_char buf ',';
+      int t.Task.wcet;
+      Buffer.add_char buf ',';
+      int t.Task.deadline;
+      Buffer.add_char buf ',';
+      int t.Task.period)
     order;
   { key = Buffer.contents buf; canon_of_orig; orig_of_canon }
 
 let key fp = fp.key
 
-let relabel map sched =
-  let m = Schedule.m sched and horizon = Schedule.horizon sched in
-  let out = Schedule.create ~m ~horizon in
-  for proc = 0 to m - 1 do
-    for time = 0 to horizon - 1 do
-      let v = Schedule.get sched ~proc ~time in
-      if v <> Schedule.idle then Schedule.set out ~proc ~time map.(v)
-    done
-  done;
-  out
-
-let to_canonical fp sched = relabel fp.canon_of_orig sched
-let from_canonical fp sched = relabel fp.orig_of_canon sched
+let to_canonical fp sched = Schedule.relabel fp.canon_of_orig sched
+let from_canonical fp sched = Schedule.relabel fp.orig_of_canon sched

@@ -164,33 +164,31 @@ let status_string = function
   | Error -> "error"
   | Rejected -> "rejected"
 
-let schedule_json sched =
-  let cell proc time =
-    let v = Schedule.get sched ~proc ~time in
-    Json.int (if v = Schedule.idle then 0 else v + 1)
-  in
-  Json.Arr
-    (List.init (Schedule.m sched) (fun proc ->
-         Json.Arr (List.init (Schedule.horizon sched) (cell proc))))
-
 let response_json r =
   let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
   let str v = Json.Str v in
-  Json.to_string
-    (Json.Obj
-       ([
-          ("id", Json.Str r.r_id);
-          ("status", Json.Str (status_string r.r_status));
-          ("code", Json.int r.r_code);
-        ]
-       @ opt "verdict" str r.r_verdict
-       @ [ ("cached", Json.Bool r.r_cached) ]
-       @ opt "solver" str r.r_solver
-       @ opt "winner" str r.r_winner
-       @ [ ("time_s", Json.Num r.r_time_s); ("queue_s", Json.Num r.r_queue_s) ]
-       @ opt "stats" Telemetry.Stats.to_json r.r_stats
-       @ opt "error" str r.r_error
-       @ opt "schedule" schedule_json r.r_schedule))
+  let head =
+    Json.Obj
+      ([
+         ("id", Json.Str r.r_id);
+         ("status", Json.Str (status_string r.r_status));
+         ("code", Json.int r.r_code);
+       ]
+      @ opt "verdict" str r.r_verdict
+      @ [ ("cached", Json.Bool r.r_cached) ]
+      @ opt "solver" str r.r_solver
+      @ opt "winner" str r.r_winner
+      @ [ ("time_s", Json.Num r.r_time_s); ("queue_s", Json.Num r.r_queue_s) ]
+      @ opt "stats" Telemetry.Stats.to_json r.r_stats
+      @ opt "error" str r.r_error)
+  in
+  (* Cells print 1-based, idle as 0. *)
+  match r.r_schedule with
+  | None -> Json.to_string head
+  | Some sched ->
+    Json.to_string_with_rows head ~name:"schedule"
+      ~cell:(fun v -> if v = Schedule.idle then 0 else v + 1)
+      (Schedule.rows sched)
 
 let error_response ~id ~queue_s err =
   {

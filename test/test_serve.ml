@@ -111,6 +111,18 @@ let test_fingerprint_relabel_roundtrip () =
       (match Verify.check_cyclic sorted_ts canon with Ok () -> true | Error _ -> false)
   | _ -> Alcotest.fail "running example must be feasible on 2 processors"
 
+(* The key's bytes, pinned: the running example (listed out of canonical
+   order) and a hyperperiod of 1.6·10¹⁸, whose digits must all print. *)
+let test_fingerprint_key_bytes () =
+  let key ts ~m = Fingerprint.key (Fingerprint.of_taskset ts ~m) in
+  Alcotest.(check string) "running example" "m=2;H=12;0,1,2,2;0,2,2,3;1,3,4,4"
+    (key (Taskset.of_tuples [ (1, 3, 4, 4); (0, 2, 2, 3); (0, 1, 2, 2) ]) ~m:2);
+  let huge = List.map (fun p -> (0, 1, p, p)) [ 1097; 1093; 1091; 1087; 1069; 1063 ] in
+  Alcotest.(check string) "huge hyperperiod"
+    "m=5;H=1615816556891330179;0,1,1063,1063;0,1,1069,1069;0,1,1087,1087;0,1,1091,1091;\
+     0,1,1093,1093;0,1,1097,1097"
+    (key (Taskset.of_tuples huge) ~m:5)
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -193,6 +205,90 @@ let test_proto_response_json () =
         | None -> Alcotest.fail "schedule requested but missing");
         Alcotest.(check (option (float 1e-9))) "queue_s" (Some 0.125)
           (Option.bind (Json.member "queue_s" v) Json.to_float))
+
+(* The earlier rendering, kept verbatim as the reference: the response
+   built as one [Json.t] tree, with a boxed [Json.Num] per schedule cell. *)
+let tree_schedule_json sched =
+  let cell proc time =
+    let v = Schedule.get sched ~proc ~time in
+    Json.int (if v = Schedule.idle then 0 else v + 1)
+  in
+  Json.Arr
+    (List.init (Schedule.m sched) (fun proc ->
+         Json.Arr (List.init (Schedule.horizon sched) (cell proc))))
+
+let tree_response_json (r : Proto.response) =
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  let str v = Json.Str v in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("id", Json.Str r.r_id);
+          ("status", Json.Str (Proto.status_string r.r_status));
+          ("code", Json.int r.r_code);
+        ]
+       @ opt "verdict" str r.r_verdict
+       @ [ ("cached", Json.Bool r.r_cached) ]
+       @ opt "solver" str r.r_solver
+       @ opt "winner" str r.r_winner
+       @ [ ("time_s", Json.Num r.r_time_s); ("queue_s", Json.Num r.r_queue_s) ]
+       @ opt "stats" Telemetry.Stats.to_json r.r_stats
+       @ opt "error" str r.r_error
+       @ opt "schedule" tree_schedule_json r.r_schedule))
+
+(* Random responses: every optional field present or not, and schedules
+   of up to 6 processors whose ids reach two digits, with idle cells. *)
+let response_gen =
+  let open QCheck2.Gen in
+  let opt g = oneof [ return None; map Option.some g ] in
+  let text = string_size ~gen:printable (int_range 0 8) in
+  oneofl Proto.[ Decided; Undecided; Error; Rejected ] >>= fun r_status ->
+  int_range 0 6 >>= fun r_code ->
+  pair (opt text) (opt text) >>= fun (r_verdict, r_solver) ->
+  pair (opt text) (opt text) >>= fun (r_winner, r_error) ->
+  pair float float >>= fun (r_time_s, r_queue_s) ->
+  pair text bool >>= fun (r_id, r_cached) ->
+  opt
+    (int_range 1 6 >>= fun m ->
+     int_range 1 40 >>= fun horizon ->
+     int_range 1 30 >>= fun n ->
+     array_size (return m)
+       (array_size (return horizon)
+          (frequency [ (1, return Schedule.idle); (2, int_range 0 (n - 1)) ]))
+     >>= fun cells -> return (Schedule.of_cells cells))
+  >>= fun r_schedule ->
+  return
+    {
+      Proto.r_id;
+      r_status;
+      r_code;
+      r_verdict;
+      r_cached;
+      r_solver;
+      r_winner;
+      r_time_s;
+      r_queue_s;
+      r_stats = None;
+      r_error;
+      r_schedule;
+    }
+
+let prop_render_matches_tree =
+  Test_util.qtest ~count:500 "response_json matches the tree rendering" response_gen (fun r ->
+      let line = Proto.response_json r in
+      String.equal line (tree_response_json r)
+      &&
+      match (Json.parse line, r.Proto.r_schedule) with
+      | Error _, _ -> false
+      | Ok v, None -> Json.member "schedule" v = None
+      | Ok v, Some sched -> (
+        let ints row = List.map (fun c -> Option.get (Json.to_int c) - 1) row in
+        match Option.map (List.map Json.to_list) (Option.bind (Json.member "schedule" v) Json.to_list) with
+        | Some rows when List.for_all Option.is_some rows ->
+          Schedule.equal sched
+            (Schedule.of_cells
+               (Array.of_list (List.map (fun row -> Array.of_list (ints (Option.get row))) rows)))
+        | Some _ | None -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: cache soundness, error classification, containment,
@@ -508,6 +604,43 @@ let test_failpoint_soak () =
   Alcotest.(check int) "crashed = code-5 lines" code5 c.Proto.crashed;
   Alcotest.(check bool) "a crash was contained" true (c.Proto.crashed >= 1)
 
+(* A warm feasible hit on the pinned n = 10, m = 5, H = 420 instance:
+   [Scheduler.process] (fingerprint, lookup, relabel, verify-on-hit)
+   allocates at most 4 words per schedule cell, and rendering its
+   response at most 2.  The relabeled schedule alone is one word per
+   cell; the response line about one third of a word. *)
+let pinned_hit () =
+  let ts = Test_util.pinned_5x420 and m = 5 in
+  let t = Scheduler.create ~config:(small_config ()) ~emit:(fun _ -> ()) () in
+  let req = mk_request ts ~m in
+  let miss = Scheduler.process t ~queue_s:0. req in
+  Alcotest.(check (pair int (option string))) "miss" (0, Some "feasible") (verdict_of miss);
+  let hit = Scheduler.process t ~queue_s:0. req in
+  Alcotest.(check bool) "hit" true hit.Proto.r_cached;
+  let cells =
+    match hit.Proto.r_schedule with
+    | Some s -> float_of_int (Schedule.m s * Schedule.horizon s)
+    | None -> Alcotest.fail "the hit carries no schedule"
+  in
+  (t, req, hit, cells)
+
+(* The least of three calls, as in test_model's gate. *)
+let words_per_cell cells f =
+  List.fold_left Float.min Float.infinity (List.init 3 (fun _ -> Test_util.allocated_words f))
+  /. cells
+
+let test_hit_allocation () =
+  let t, req, _, cells = pinned_hit () in
+  let per_cell = words_per_cell cells (fun () -> Scheduler.process t ~queue_s:0. req) in
+  if per_cell > 4. then
+    Alcotest.failf "a warm hit allocated %.1f words per cell (limit 4)" per_cell
+
+let test_hit_render_allocation () =
+  let _, _, hit, cells = pinned_hit () in
+  let per_cell = words_per_cell cells (fun () -> Proto.response_json hit) in
+  if per_cell > 2. then
+    Alcotest.failf "rendering a hit allocated %.1f words per cell (limit 2)" per_cell
+
 let () =
   Alcotest.run "serve"
     [
@@ -516,6 +649,7 @@ let () =
           prop_fingerprint_reorder_invariant;
           prop_fingerprint_m_sensitive;
           Alcotest.test_case "relabel roundtrip" `Quick test_fingerprint_relabel_roundtrip;
+          Alcotest.test_case "key bytes" `Quick test_fingerprint_key_bytes;
         ] );
       ( "cache",
         [
@@ -526,6 +660,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_proto_parse;
           Alcotest.test_case "response json" `Quick test_proto_response_json;
+          prop_render_matches_tree;
         ] );
       ( "scheduler",
         [
@@ -541,5 +676,8 @@ let () =
           Alcotest.test_case "failpoint soak" `Quick test_failpoint_soak;
           Alcotest.test_case "warm session spawns no domain" `Quick
             test_warm_session_spawns_no_domain;
+          Alcotest.test_case "warm hit: at most 4 words per cell" `Quick test_hit_allocation;
+          Alcotest.test_case "hit render: at most 2 words per cell" `Quick
+            test_hit_render_allocation;
         ] );
     ]

@@ -1,12 +1,65 @@
-(* Reference implementation of [Verify.check_cyclic] in its direct form:
-   each executed cell tries every job of its task, and the per-task
-   (job, instant) tables span the whole horizon, so one call allocates
-   2·Σ_i (H/T_i)·H words.  It returns the same result as the library
-   function, violations and their order included, and serves only as a
-   test oracle for it. *)
+(* Reference implementations of [Verify.check] and [Verify.check_cyclic],
+   test oracles for the library functions, which must return the same
+   results, violations and their order included.
+
+   [check] is the earlier plain checker, kept verbatim: it finds each
+   cell's job through [Jobmap] and reads the schedule through
+   [Schedule.get], one call per cell.
+
+   [check_cyclic] is the direct form of the cyclic checker: each executed
+   cell tries every job of its task, and the per-task (job, instant)
+   tables span the whole horizon, so one call allocates
+   2·Σ_i (H/T_i)·H words. *)
 
 open Rt_model
 open Verify
+
+let check ?platform ?(max_violations = 32) ts sched =
+  let n = Taskset.size ts in
+  let m = Schedule.m sched in
+  let horizon = Schedule.horizon sched in
+  if horizon <> Taskset.hyperperiod ts then
+    invalid_arg "Verify.check: schedule horizon differs from the hyperperiod";
+  let platform = match platform with Some p -> p | None -> Platform.identical ~m in
+  if Platform.processors platform <> m then
+    invalid_arg "Verify.check: platform processor count differs from the schedule";
+  let jm = Jobmap.create ts in
+  let received = Array.make (Jobmap.job_count jm) 0 in
+  let violations = ref [] in
+  let count = ref 0 in
+  let report v =
+    if !count < max_violations then violations := v :: !violations;
+    incr count
+  in
+  let proc_of = Array.make n (-1) in
+  for time = 0 to horizon - 1 do
+    Array.fill proc_of 0 n (-1);
+    for proc = 0 to m - 1 do
+      let v = Schedule.get sched ~proc ~time in
+      if v <> Schedule.idle then
+        if v < 0 || v >= n then report (Bad_task { proc; time; value = v })
+        else begin
+          (if proc_of.(v) <> -1 then
+             report (Parallelism { time; task = v; procs = (proc_of.(v), proc) })
+           else proc_of.(v) <- proc);
+          if not (Platform.can_run platform ~task:v ~proc) then
+            report (Zero_rate { proc; time; task = v });
+          let g = Jobmap.global_job_at jm ~task:v ~time in
+          if g = -1 then report (Out_of_window { proc; time; task = v })
+          else received.(g) <- received.(g) + Platform.rate platform ~task:v ~proc
+        end
+    done
+  done;
+  (* C4: exact amounts per job. *)
+  for task = 0 to n - 1 do
+    let expected = (Taskset.task ts task).wcet in
+    let base = Jobmap.first_of_task jm task in
+    for k = 0 to Jobmap.jobs_of_task jm task - 1 do
+      let got = received.(base + k) in
+      if got <> expected then report (Wrong_amount { task; job = k; expected; got })
+    done
+  done;
+  if !count = 0 then Ok () else Error (List.rev !violations)
 
 let check_cyclic ?platform ?(max_violations = 32) ts sched =
   let n = Taskset.size ts in
