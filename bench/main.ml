@@ -119,7 +119,7 @@ let () =
       print_newline ();
       print_string (Tables.render_bucket_rows (Tables.table3 portfolio_campaign)));
 
-  run_section "ANALYZE (static pre-pass: refutations, certificates, m lower bounds)"
+  run_section "ANALYZE (static pre-pass: refutations by utilization, all-jobs cut and Hall set)"
     (fun () ->
       print_string (Prepass.render (Prepass.run ~progress:(progress_every 100 "instance") config)));
 

@@ -388,7 +388,6 @@ let analyze_cmd =
     if analyzed != ts then
       Printf.printf "# arbitrary deadlines: report refers to the clone system (mgrts clone)\n";
     List.iter (Printf.printf "note: skipped %s\n") report.Analysis.skipped;
-    Printf.printf "m lower bound: %d\n" (Analysis.m_lower_bound ?work_budget analyzed);
     match report.Analysis.verdict with
     | Analysis.Infeasible cert ->
       let valid = Analysis.Certificate.validate analyzed (Platform.identical ~m) cert in
@@ -399,7 +398,7 @@ let analyze_cmd =
         0
       end
       else begin
-        (* Should be unreachable: the analyzer only emits checkable chains. *)
+        (* Should be unreachable: the analyzer only emits checkable certificates. *)
         print_endline "certificate: FAILED validation (analyzer bug)";
         1
       end

@@ -312,10 +312,7 @@ let cut net =
     end
   done;
   let supply = Array.fold_left (fun acc c -> acc + Int.min net.m c) 0 count in
-  {
-    Certificate.m = net.m;
-    steps = [ Certificate.Hall { jobs = !members; demand = !demand; supply } ];
-  }
+  { Certificate.m = net.m; step = Certificate.Hall { jobs = !members; demand = !demand; supply } }
 
 let solve ~spend ts ~m =
   if m < 1 then invalid_arg "Flow.solve: m must be >= 1";

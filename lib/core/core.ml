@@ -327,16 +327,6 @@ type min_processors_outcome = Minproc.min_processors_outcome =
 
 let min_processors ?solver ?(budget_per_m = None) ?max_m ?(analyze = true) ts =
   let max_m = match max_m with Some v -> v | None -> Taskset.size ts in
-  (* The analyzer's m-independent lower bound (computed once, on the
-     constrained clone system for arbitrary deadlines — the reduction
-     preserves feasibility, so a bound for the clone bounds the original)
-     lets the scan skip candidate counts no schedule can use. *)
-  let start =
-    if not analyze then 1
-    else
-      let cts = if Taskset.is_constrained ts then ts else Clone.cloned (Clone.transform ts) in
-      Analysis.m_lower_bound cts
-  in
   let solve_m ~m =
     let budget = match budget_per_m with Some b -> b | None -> Timer.unlimited in
     match fst (solve ?solver ~budget ~analyze ts ~m) with
@@ -344,7 +334,7 @@ let min_processors ?solver ?(budget_per_m = None) ?max_m ?(analyze = true) ts =
     | Infeasible -> `Infeasible
     | Limit | Memout _ -> `Undecided
   in
-  Minproc.min_processors_feasible ~start ~solve:solve_m ts ~max_m
+  Minproc.min_processors_feasible ~solve:solve_m ts ~max_m
 
 let min_processors_exn ?solver ?budget_per_m ?max_m ts =
   match min_processors ?solver ?budget_per_m ?max_m ts with

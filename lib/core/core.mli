@@ -206,12 +206,14 @@ type min_processors_outcome = Rt_model.Minproc.min_processors_outcome =
 val min_processors :
   ?solver:solver -> ?budget_per_m:Prelude.Timer.budget option -> ?max_m:int ->
   ?analyze:bool -> Rt_model.Taskset.t -> min_processors_outcome
-(** Smallest [m] for which a schedule is found, starting from [⌈U⌉]
-    (Section VII-E's closing suggestion) sharpened to the static analyzer's
-    {!Analysis.m_lower_bound} unless [analyze:false], scanning up to
-    [max_m] (default [n]).  With [budget_per_m], a [Limit]/[Memout]
-    verdict at some [m] no longer masquerades as infeasibility: the result
-    degrades to {!Inconclusive} carrying the smallest undecided [m]. *)
+(** Smallest [m] for which a schedule is found, scanning from [⌈U⌉]
+    (Section VII-E's closing suggestion) up to [max_m] (default [n]).
+    Each [m] is one {!solve}: unless [analyze:false], its pre-search pass
+    decides every [m] exactly on an identical platform within the
+    analyzer's work budget, so the scan searches only over it.  With
+    [budget_per_m], a [Limit]/[Memout] verdict at some [m] no longer
+    masquerades as infeasibility: the result degrades to {!Inconclusive}
+    carrying the smallest undecided [m]. *)
 
 val min_processors_exn :
   ?solver:solver -> ?budget_per_m:Prelude.Timer.budget option -> ?max_m:int ->

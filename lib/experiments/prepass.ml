@@ -2,28 +2,28 @@ open Rt_model
 
 type totals = {
   instances : int;
-  old_filter_refuted : int;
-  static_refuted : int;
+  by_utilization : int;
+  by_cut : int;
+  by_hall : int;
   certificates_valid : int;
   flow_feasible : int;
-  flow_refuted : int;
   flow_time_s : float;
-  m_lower_raised : int;
   analysis_time_s : float;
 }
 
 let empty =
   {
     instances = 0;
-    old_filter_refuted = 0;
-    static_refuted = 0;
+    by_utilization = 0;
+    by_cut = 0;
+    by_hall = 0;
     certificates_valid = 0;
     flow_feasible = 0;
-    flow_refuted = 0;
     flow_time_s = 0.;
-    m_lower_raised = 0;
     analysis_time_s = 0.;
   }
+
+let refuted t = t.by_utilization + t.by_cut + t.by_hall
 
 let run ?(progress = fun _ -> ()) (config : Config.t) =
   let params = Campaign.generation_params config in
@@ -38,45 +38,26 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
     ignore (Analysis.Flow.solve ~spend:(fun _ -> true) ts ~m);
     Prelude.Timer.now () -. t0
   in
-  let by_flow (cert : Analysis.Certificate.t) =
-    match List.rev cert.Analysis.Certificate.steps with
-    | Analysis.Certificate.Hall _ :: _ -> true
-    | _ -> false
-  in
   Array.iteri
     (fun idx (ts, m) ->
-      let t = !acc in
-      let old_hit = Analysis.utilization_exceeds ts ~m in
       let report = Analysis.analyze ts ~m in
-      let t =
-        {
-          t with
-          old_filter_refuted = t.old_filter_refuted + Bool.to_int old_hit;
-          analysis_time_s = t.analysis_time_s +. report.Analysis.time_s;
-          m_lower_raised =
-            (t.m_lower_raised
-            + Bool.to_int (Analysis.m_lower_bound ts > Taskset.min_processors ts));
-        }
-      in
+      let t = { !acc with analysis_time_s = !acc.analysis_time_s +. report.Analysis.time_s } in
       acc :=
         (match report.Analysis.verdict with
         | Analysis.Infeasible cert ->
           let t =
             {
               t with
-              static_refuted = t.static_refuted + 1;
               certificates_valid =
                 (t.certificates_valid
                 + Bool.to_int (Analysis.Certificate.validate ts (Platform.identical ~m) cert));
             }
           in
-          if by_flow cert then
-            {
-              t with
-              flow_refuted = t.flow_refuted + 1;
-              flow_time_s = t.flow_time_s +. flow_s ts ~m;
-            }
-          else t
+          (match cert.Analysis.Certificate.step with
+          | Analysis.Certificate.Utilization _ -> { t with by_utilization = t.by_utilization + 1 }
+          | Analysis.Certificate.Supply_shortfall _ -> { t with by_cut = t.by_cut + 1 }
+          | Analysis.Certificate.Hall _ ->
+            { t with by_hall = t.by_hall + 1; flow_time_s = t.flow_time_s +. flow_s ts ~m })
         | Analysis.Feasible _ ->
           {
             t with
@@ -93,13 +74,10 @@ let render t =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "Static pre-pass over %d generated instances (%.3fs of analysis total):" t.instances
     t.analysis_time_s;
-  line "  refuted statically        %4d  (old r>1 filter alone: %d)" t.static_refuted
-    t.old_filter_refuted;
-  line "  certificates re-validated %4d  (of %d refutations)" t.certificates_valid
-    t.static_refuted;
+  line "  refuted statically        %4d  (utilization r>1: %d, all-jobs cut: %d, Hall set: %d)"
+    (refuted t) t.by_utilization t.by_cut t.by_hall;
+  line "  certificates re-validated %4d  (of %d refutations)" t.certificates_valid (refuted t);
   line "  decided by the flow       %4d  (%d feasible, %d refuted by a Hall set; %.3fs of flow)"
-    (t.flow_feasible + t.flow_refuted) t.flow_feasible t.flow_refuted t.flow_time_s;
-  line "  left undecided            %4d"
-    (t.instances - t.static_refuted - t.flow_feasible);
-  line "  m lower bound beat ceil(U) on %d instance(s)" t.m_lower_raised;
+    (t.flow_feasible + t.by_hall) t.flow_feasible t.by_hall t.flow_time_s;
+  line "  left undecided            %4d" (t.instances - refuted t - t.flow_feasible);
   Buffer.contents b

@@ -3,7 +3,7 @@ type min_processors_outcome =
   | Inconclusive of { first_limit : int; feasible : int option }
   | All_infeasible
 
-let min_processors_feasible ?(start = 1) ~solve ts ~max_m =
+let min_processors_feasible ~solve ts ~max_m =
   let rec go m first_limit =
     if m > max_m then
       match first_limit with
@@ -20,4 +20,4 @@ let min_processors_feasible ?(start = 1) ~solve ts ~max_m =
         let first_limit = match first_limit with None -> Some m | some -> some in
         go (m + 1) first_limit
   in
-  go (Int.max start (Taskset.min_processors ts)) None
+  go (Int.max 1 (Taskset.min_processors ts)) None

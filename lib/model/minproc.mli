@@ -1,11 +1,9 @@
 (** Incremental search for the smallest feasible processor count.
 
-    The cheap necessary-condition pre-filters that used to live here
-    ([quick_check] and friends) moved to the [Analysis] library, which
-    subsumes them with certificate-producing interval and forced-slot
-    arguments; this module keeps only the [m]-scan driver, which belongs to
-    the model layer because it is pure control flow over an abstract
-    [solve] callback. *)
+    Pure control flow over an abstract [solve] callback, so it belongs to
+    the model layer: {!Core.min_processors} hands it a solve that runs the
+    static analyzer first, which on identical platforms decides each [m]
+    exactly within its work budget. *)
 
 type min_processors_outcome =
   | Exact of int
@@ -19,16 +17,13 @@ type min_processors_outcome =
   | All_infeasible  (** Every [m <= max_m] was refuted. *)
 
 val min_processors_feasible :
-  ?start:int ->
   solve:(m:int -> [ `Feasible | `Infeasible | `Undecided ]) ->
   Taskset.t ->
   max_m:int ->
   min_processors_outcome
 (** Incremental search for the smallest feasible [m], starting from
-    [max ⌈U⌉ start] (the paper's closing suggestion in Section VII-E,
-    sharpened by any sound lower bound the caller has — e.g. the static
-    analyzer's) and stopping at the first [`Feasible] verdict.  A
-    budget-limited [`Undecided] verdict is {e not} treated as infeasible:
-    it demotes the final answer to {!Inconclusive} instead of silently
-    inflating the reported minimum.  When [start > max_m] every candidate
-    is below the lower bound, i.e. {!All_infeasible}. *)
+    [⌈U⌉] (the paper's closing suggestion in Section VII-E) and stopping
+    at the first [`Feasible] verdict.  A budget-limited [`Undecided]
+    verdict is {e not} treated as infeasible: it demotes the final answer
+    to {!Inconclusive} instead of silently inflating the reported
+    minimum. *)

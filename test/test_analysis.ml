@@ -1,7 +1,7 @@
 (* Tests for the static schedulability analyzer: verdicts on hand-crafted
    instances, independent certificate validation (including corrupted
-   certificates), the lower-bound sweep against its reference, and
-   differential properties against the complete CSP2 backend. *)
+   certificates), and differential properties against the complete CSP2
+   backend. *)
 
 open Rt_model
 module O = Encodings.Outcome
@@ -29,79 +29,66 @@ let test_utilization_certificate () =
   let ts = Examples.running_example in
   let report = analyze ts ~m:1 in
   let cert = infeasible_cert "running m=1" report in
-  (match cert.steps with
-  | [ A.Certificate.Utilization { demand = 23; supply = 12 } ] -> ()
-  | _ -> Alcotest.fail "expected a bare utilization step");
+  (match cert.step with
+  | A.Certificate.Utilization { demand = 23; supply = 12 } -> ()
+  | _ -> Alcotest.fail "expected a utilization step");
   Alcotest.(check bool) "validates" true (validate ts ~m:1 cert);
-  check Alcotest.int "m_lower" 2 (A.m_lower_bound ts);
   Alcotest.(check (list string)) "nothing skipped" [] report.skipped
+
+(* The all-jobs cut: Σ_t min(m, tasks whose window holds t) against the
+   total demand, as the one step of a certificate that validates. *)
+let check_cut name ts ~m ~demand ~supply =
+  let cert = infeasible_cert name (analyze ts ~m) in
+  Alcotest.(check bool) (name ^ ": validates") true (validate ts ~m cert);
+  match cert.step with
+  | A.Certificate.Supply_shortfall s when s.demand = demand && s.supply = supply -> ()
+  | _ -> Alcotest.failf "%s: expected Supply_shortfall { demand = %d; supply = %d }" name demand supply
 
 (* Three laxity-zero tasks share the slots {0,1}: every feasible schedule
    runs all three there, overloading m = 2 — caught without any search,
-   while U = 1.5 <= m keeps the r > 1 filter silent. *)
+   while U = 1.5 <= m keeps the r > 1 filter silent.  The two covered
+   slots supply 2·2 = 4 of the 6 units. *)
 let test_slot_overload () =
   let ts = Taskset.of_tuples [ (0, 2, 2, 4); (0, 2, 2, 4); (0, 2, 2, 4) ] in
-  let report = analyze ts ~m:2 in
-  let cert = infeasible_cert "zero-laxity overload" report in
-  Alcotest.(check bool) "validates" true (validate ts ~m:2 cert);
-  Alcotest.(check bool) "overload terminal" true
-    (match List.rev cert.steps with A.Certificate.Slot_overload _ :: _ -> true | _ -> false);
-  check Alcotest.int "m_lower from forced slots" 3 (A.m_lower_bound ts)
+  check_cut "zero-laxity overload" ts ~m:2 ~demand:6 ~supply:4
 
-(* Saturation cascade: two laxity-zero tasks saturate slots 0 and 1, which
-   blocks the third task's only window and forces it into slot 1 — a
-   three-step derivation ending in an overload. *)
+(* Two laxity-zero tasks fill slots 0 and 1 on m = 2, where the third
+   task's only window lies: its unit has nowhere to go, 5 units in 4. *)
 let test_saturation_cascade () =
   let ts = Taskset.of_tuples [ (0, 2, 2, 4); (0, 2, 2, 4); (0, 1, 2, 4) ] in
-  let report = analyze ts ~m:2 in
-  let cert = infeasible_cert "saturation cascade" report in
-  Alcotest.(check bool) "validates" true (validate ts ~m:2 cert);
-  Alcotest.(check bool) "has a saturation step" true
-    (List.exists (function A.Certificate.Saturated _ -> true | _ -> false) cert.steps)
+  check_cut "saturation cascade" ts ~m:2 ~demand:5 ~supply:4
 
 (* Interval demand: on [0, 4) tasks τ1 and τ2 are forced to place 3 units
    each while m = 1 supplies 4 slots.  Utilization is exactly 1 and the
-   hyperperiod supply matches the demand, so the cheap passes leave it to
-   the flow, whose min cut is the Hall set {τ1's job 1, τ2's job 1}: 7
-   units in the 5 slots of their windows.  The interval argument is the
-   special case of that set forced into one interval. *)
-let interval_trap =
-  Taskset.of_tuples [ (0, 3, 4, 6); (0, 4, 5, 12); (10, 1, 2, 12); (5, 1, 1, 12) ]
-
+   hyperperiod supply matches the demand, so the cut leaves it to the
+   flow, whose min cut is the Hall set {τ1's job 1, τ2's job 1}: 7 units
+   in the 5 slots of their windows.  The interval argument is the special
+   case of that set forced into one interval. *)
 let test_interval_demand () =
-  let ts = interval_trap in
+  let ts = Test_util.interval_trap in
   Alcotest.(check bool) "r <= 1" false (A.utilization_exceeds ts ~m:1);
   let report = analyze ts ~m:1 in
   let cert = infeasible_cert "interval trap" report in
   Alcotest.(check bool) "validates" true (validate ts ~m:1 cert);
-  Alcotest.(check bool) "Hall terminal" true
-    (match List.rev cert.steps with
-    | [ A.Certificate.Hall { jobs = [ (0, 0); (1, 0) ]; demand = 7; supply = 5 } ] -> true
-    | _ -> false);
-  (* The interval argument is m-independent here: ⌈6/4⌉ = 2 processors are
-     needed although ⌈U⌉ = 1. *)
-  check Alcotest.int "m_lower beats ceil U" 2 (A.m_lower_bound ts);
-  check Alcotest.int "m_lower_bound agrees" 2 (A.For_tests.interval_bound ts)
+  Alcotest.(check bool) "Hall step" true
+    (match cert.step with
+    | A.Certificate.Hall { jobs = [ (0, 0); (1, 0) ]; demand = 7; supply = 5 } -> true
+    | _ -> false)
 
 (* U exactly m must NOT be filtered by r > 1 (r = 1 is allowed) — but the
-   analyzer is strictly stronger: both tasks' only window is slot 0, so the
-   forced-slot argument still refutes m = 1. *)
+   analyzer is strictly stronger: both tasks' only window is slot 0, so
+   the all-jobs cut still refutes m = 1 (2 units, 1 covered slot). *)
 let test_exact_boundary () =
   let ts = Taskset.of_tuples [ (0, 1, 1, 2); (0, 1, 1, 2) ] in
   Alcotest.(check bool) "r = 1 passes the filter" false (A.utilization_exceeds ts ~m:1);
-  let cert = infeasible_cert "r = 1 but slot-overloaded" (analyze ts ~m:1) in
-  Alcotest.(check bool) "validates" true (validate ts ~m:1 cert)
+  check_cut "r = 1 but slot-overloaded" ts ~m:1 ~demand:2 ~supply:1
 
 (* Sparse windows (the old slot_capacity_shortfall test family): demand 4
-   per hyperperiod 4 but only three covered slots, so the hyperperiod
-   supply argument refutes m = 1 without any forced slot. *)
+   per hyperperiod 4 but only three covered slots, so the all-jobs cut
+   refutes m = 1 without any forced slot. *)
 let test_supply_shortfall () =
   let ts = Taskset.of_tuples [ (0, 2, 3, 4); (0, 2, 3, 4) ] in
-  let report = analyze ts ~m:1 in
-  let cert = infeasible_cert "sparse windows" report in
-  Alcotest.(check bool) "validates" true (validate ts ~m:1 cert);
-  Alcotest.(check bool) "supply terminal" true
-    (match List.rev cert.steps with A.Certificate.Supply_shortfall _ :: _ -> true | _ -> false);
+  check_cut "sparse windows" ts ~m:1 ~demand:4 ~supply:3;
   match (analyze ts ~m:2).A.verdict with
   | A.Infeasible _ -> Alcotest.fail "feasible on two processors"
   | _ -> ()
@@ -124,7 +111,6 @@ let test_budget_skip_is_reported () =
   let ts = Examples.running_example in
   let report = analyze ~work_budget:10 ts ~m:2 in
   Alcotest.(check bool) "skip reported" true (report.A.skipped <> []);
-  check Alcotest.int "m_lower still exact" 2 (A.m_lower_bound ~work_budget:10 ts);
   match report.A.verdict with
   | A.Undecided -> ()
   | _ -> Alcotest.fail "budget-starved analysis must stay inconclusive"
@@ -162,8 +148,9 @@ let test_wrapping_supply () =
   | { A.verdict = A.Infeasible _; _ } -> Alcotest.fail "refuted a U = 0.0055 instance"
   | _ | (exception Invalid_argument _) -> ());
   let num, den = Taskset.utilization_num_den ts in
-  let step = A.Certificate.Utilization { demand = num; supply = 5 * den } in
-  let wrapped = { A.Certificate.m = 5; steps = [ step ] } in
+  let wrapped =
+    { A.Certificate.m = 5; step = A.Certificate.Utilization { demand = num; supply = 5 * den } }
+  in
   Alcotest.(check bool) "the product wraps" true (5 * den < num);
   Alcotest.(check bool) "wrapped supply rejected" false (validate ts ~m:5 wrapped)
 
@@ -182,32 +169,34 @@ let test_rejects_bad_arguments () =
 (* Certificate validation is adversarial                                *)
 
 let test_corrupted_certificates_rejected () =
-  let ts = interval_trap in
+  let ts = Test_util.interval_trap in
   let cert = infeasible_cert "interval trap" (analyze ts ~m:1) in
   Alcotest.(check bool) "genuine" true (validate ts ~m:1 cert);
-  let tamper f = { cert with A.Certificate.steps = f cert.A.Certificate.steps } in
   let tampered_demand =
-    tamper
-      (List.map (function
-        | A.Certificate.Hall { jobs; demand; supply } ->
-          A.Certificate.Hall { jobs; demand = demand + 1; supply }
-        | s -> s))
+    match cert.A.Certificate.step with
+    | A.Certificate.Hall { jobs; demand; supply } ->
+      { cert with A.Certificate.step = A.Certificate.Hall { jobs; demand = demand + 1; supply } }
+    | _ -> Alcotest.fail "expected a Hall step"
   in
   Alcotest.(check bool) "tampered demand" false (validate ts ~m:1 tampered_demand);
   let wrong_m = { cert with A.Certificate.m = 2 } in
   Alcotest.(check bool) "wrong m" false (validate ts ~m:2 wrong_m);
   Alcotest.(check bool) "platform mismatch" false
     (A.Certificate.validate ts (Platform.identical ~m:2) cert);
-  Alcotest.(check bool) "empty chain" false
-    (validate ts ~m:1 { A.Certificate.m = 1; steps = [] });
-  let no_terminal = tamper (List.filter (function A.Certificate.Hall _ -> false | _ -> true)) in
-  Alcotest.(check bool) "derivations only" false (validate ts ~m:1 no_terminal);
-  (* A fabricated overload on a healthy instance must not validate. *)
-  let fake =
-    { A.Certificate.m = 2; steps = [ A.Certificate.Slot_overload { time = 0 } ] }
+  (* The all-jobs cut's numbers are recounted exactly: one unit more
+     demand, or one slot less supply, than the windows give is refused. *)
+  let ts = Taskset.of_tuples [ (0, 2, 2, 4); (0, 2, 2, 4); (0, 2, 2, 4) ] in
+  let cut demand supply =
+    { A.Certificate.m = 2; step = A.Certificate.Supply_shortfall { demand; supply } }
   in
-  Alcotest.(check bool) "fabricated overload" false
-    (validate Examples.running_example ~m:2 fake)
+  Alcotest.(check bool) "genuine cut" true (validate ts ~m:2 (cut 6 4));
+  Alcotest.(check bool) "cut demand + 1" false (validate ts ~m:2 (cut 7 4));
+  Alcotest.(check bool) "cut supply - 1" false (validate ts ~m:2 (cut 6 3));
+  (* A fabricated shortfall on a healthy instance must not validate. *)
+  let ts = Examples.running_example in
+  let demand = Taskset.total_demand ts in
+  Alcotest.(check bool) "fabricated shortfall" false
+    (validate ts ~m:2 (cut demand (demand - 1)))
 
 let contains s sub =
   let n = String.length s and k = String.length sub in
@@ -215,27 +204,9 @@ let contains s sub =
   k = 0 || go 0
 
 let test_certificate_pp () =
-  let cert = infeasible_cert "interval trap" (analyze interval_trap ~m:1) in
+  let cert = infeasible_cert "interval trap" (analyze Test_util.interval_trap ~m:1) in
   let s = Format.asprintf "%a" A.Certificate.pp cert in
   Alcotest.(check bool) "prints the Hall set" true (contains s "τ1 {1}, τ2 {1}")
-
-(* ------------------------------------------------------------------ *)
-(* The interval sweep against its reference form                       *)
-
-module Ref = Analysis_ref
-
-(* The reference is cubic in the hyperperiod, so instances with T > 120
-   are drawn again. *)
-let rec reference_instance_gen () =
-  let open QCheck2.Gen in
-  Test_util.instance_gen ~nmax:8 ~tmax:8 () >>= fun (ts, m) ->
-  if Taskset.hyperperiod ts > 120 then reference_instance_gen () else return (ts, m)
-
-(* The sweep behind [m_lower_bound] finds the reference recount's bound. *)
-let prop_sweep_matches_reference =
-  qtest ~count:300 "interval sweep matches its reference" (reference_instance_gen ())
-    ~print:Test_util.print_instance (fun (ts, _) ->
-      A.For_tests.interval_bound ts = Ref.interval_bound ts)
 
 (* The benchmark's fresh corpus, the paper's Section VII regime: at the
    default work budget the static pass must finish on every instance that
@@ -267,6 +238,45 @@ let test_fresh_corpus_complete () =
   check Alcotest.int "refuted statically" 5 !decided;
   check Alcotest.int "scheduled by the flow" 27 !feasible
 
+(* Why the all-jobs cut stays ahead of the flow: Table IV's stream at
+   n = 16 (generator seed 1 + 1000·n), instance 2, with m = 7 and
+   T = 32 760.  The cut refutes it in one step; the flow alone, given
+   what the window charge leaves of the default work budget, stops
+   before it decides. *)
+let test_cut_ahead_of_flow () =
+  let ts, m =
+    (Gen.Generator.batch ~seed:16001 ~count:3
+       (Gen.Generator.default ~n:16 ~m:Gen.Generator.Min_processors ~tmax:15)).(2)
+  in
+  check Alcotest.int "m" 7 m;
+  check Alcotest.int "hyperperiod" 32760 (Taskset.hyperperiod ts);
+  let report = analyze ts ~m in
+  Alcotest.(check (list string)) "nothing skipped" [] report.A.skipped;
+  let cert = infeasible_cert "Table IV n = 16, #2" report in
+  Alcotest.(check bool) "one-step cut" true
+    (match cert.step with
+    | A.Certificate.Supply_shortfall { demand = 229157; supply = 227630 } -> true
+    | _ -> false);
+  Alcotest.(check bool) "validates" true (validate ts ~m cert);
+  let horizon = Taskset.hyperperiod ts in
+  let cells =
+    Array.fold_left
+      (fun acc (task : Task.t) -> acc + (horizon / task.period * task.deadline))
+      0 (Taskset.tasks ts)
+  in
+  let left = ref (A.default_work_budget - (Taskset.size ts * horizon) - cells) in
+  let spend cost =
+    cost <= !left
+    && begin
+         left := !left - cost;
+         true
+       end
+  in
+  match A.Flow.solve ~spend ts ~m with
+  | A.Flow.Stopped -> ()
+  | A.Flow.Cut _ -> Alcotest.fail "the flow alone decided it within the budget"
+  | A.Flow.Schedule _ -> Alcotest.fail "the flow scheduled a refuted instance"
+
 (* ------------------------------------------------------------------ *)
 (* Differential properties against the complete CSP2 backend            *)
 
@@ -292,17 +302,6 @@ let prop_analyzer_agrees_with_backend =
         && (match solve_exact ts ~m with O.Infeasible -> false | _ -> true)
       | A.Undecided -> true)
 
-(* The m-independent lower bound never excludes a feasible processor
-   count. *)
-let prop_m_lower_sound =
-  qtest ~count:300 "m_lower_bound never exceeds a feasible m"
-    (Test_util.instance_gen ())
-    ~print:Test_util.print_instance
-    (fun (ts, m) ->
-      match solve_exact ts ~m with
-      | O.Feasible _ -> A.m_lower_bound ts <= m
-      | _ -> true)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -320,6 +319,7 @@ let () =
           Alcotest.test_case "bad arguments" `Quick test_rejects_bad_arguments;
           Alcotest.test_case "wrapping supply" `Quick test_wrapping_supply;
           Alcotest.test_case "fresh corpus complete" `Quick test_fresh_corpus_complete;
+          Alcotest.test_case "all-jobs cut ahead of the flow" `Quick test_cut_ahead_of_flow;
         ] );
       ( "certificates",
         [
@@ -327,10 +327,5 @@ let () =
             test_corrupted_certificates_rejected;
           Alcotest.test_case "pretty-printing" `Quick test_certificate_pp;
         ] );
-      ( "reference", [ prop_sweep_matches_reference ] );
-      ( "differential",
-        [
-          prop_analyzer_agrees_with_backend;
-          prop_m_lower_sound;
-        ] );
+      ( "differential", [ prop_analyzer_agrees_with_backend ] );
     ]

@@ -161,6 +161,9 @@ let test_min_processors () =
     (Core.min_processors running = Core.Exact 2);
   Alcotest.(check bool) "trap" true
     (Core.min_processors Examples.edf_trap = Core.Exact 2);
+  Alcotest.(check bool) "interval trap, above ceil(U)" true
+    (Taskset.min_processors Test_util.interval_trap = 1
+    && Core.min_processors Test_util.interval_trap = Core.Exact 2);
   (* An infeasible-at-any-m system does not exist with C <= D, so check the
      max_m cutoff instead. *)
   Alcotest.(check bool) "cutoff" true
@@ -182,12 +185,29 @@ let test_min_processors_inconclusive () =
   | Core.Exact _ | Core.All_infeasible ->
     Alcotest.fail "a one-node budget cannot decide anything"
 
+(* An [Exact k] is the minimum the analyzer proves: its schedule at k
+   verifies, and it refutes k − 1 with a certificate that validates. *)
 let prop_min_processors_bounds =
   qtest ~count:30 "min_processors lies between ceil(U) and n"
     (Test_util.taskset_gen ~nmax:4 ~tmax:4 ())
     (fun ts ->
       match Core.min_processors ts with
-      | Core.Exact m -> m >= Taskset.min_processors ts && m <= max 1 (Taskset.size ts)
+      | Core.Exact k ->
+        let scheduled =
+          match Core.analyze ts ~m:k with
+          | { Analysis.verdict = Analysis.Feasible sched; _ }, analyzed ->
+            Verify.check analyzed sched = Ok ()
+          | _ -> false
+        in
+        let below_refuted =
+          k = 1
+          ||
+          match Core.analyze ts ~m:(k - 1) with
+          | { Analysis.verdict = Analysis.Infeasible cert; _ }, analyzed ->
+            Analysis.Certificate.validate analyzed (Platform.identical ~m:(k - 1)) cert
+          | _ -> false
+        in
+        k >= Taskset.min_processors ts && k <= max 1 (Taskset.size ts) && scheduled && below_refuted
       | Core.All_infeasible -> true
       | Core.Inconclusive _ -> false (* unbudgeted search is always decided *))
 

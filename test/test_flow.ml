@@ -154,26 +154,21 @@ let prop_serve_cache =
 (* ------------------------------------------------------------------ *)
 (* Hall certificates                                                    *)
 
-(* Four jobs forced into [0, 4) on one processor; utilization 1 and the
-   hyperperiod supply leave it to the flow. *)
-let interval_trap =
-  Taskset.of_tuples [ (0, 3, 4, 6); (0, 4, 5, 12); (10, 1, 2, 12); (5, 1, 1, 12) ]
-
 (* The Hall step of a cut as (jobs, demand, supply), and the certificate
    a mutated step makes. *)
 let hall_of (cert : A.Certificate.t) =
-  match cert.A.Certificate.steps with
-  | [ A.Certificate.Hall { jobs; demand; supply } ] -> Some (jobs, demand, supply)
+  match cert.A.Certificate.step with
+  | A.Certificate.Hall { jobs; demand; supply } -> Some (jobs, demand, supply)
   | _ -> None
 
 let with_hall (cert : A.Certificate.t) (jobs, demand, supply) =
-  { cert with A.Certificate.steps = [ A.Certificate.Hall { jobs; demand; supply } ] }
+  { cert with A.Certificate.step = A.Certificate.Hall { jobs; demand; supply } }
 
 (* Each mutant must fail: a job dropped from the set, demand + 1,
    supply − 1, and a task whose jobs are in the set shifted by one slot
    (the recount of its supply then differs). *)
 let test_mutants () =
-  let ts = interval_trap and m = 1 in
+  let ts = Test_util.interval_trap and m = 1 in
   let cert =
     match flow ts ~m with
     | Flow.Cut cert -> cert

@@ -706,25 +706,6 @@ let test_min_processors_search () =
     (Minproc.min_processors_feasible ~solve:all_limited running ~max_m:4
     = Minproc.Inconclusive { first_limit = 2; feasible = None })
 
-let test_min_processors_start () =
-  (* A caller-supplied sound lower bound skips the refuted prefix... *)
-  let probed = ref [] in
-  let solve ~m =
-    probed := m :: !probed;
-    if m >= 4 then `Feasible else `Infeasible
-  in
-  Alcotest.(check bool) "finds 4 from 3" true
-    (Minproc.min_processors_feasible ~start:3 ~solve running ~max_m:5 = Minproc.Exact 4);
-  Alcotest.(check (list int)) "m=2 never probed" [ 4; 3 ] !probed;
-  (* ... never lowers the ⌈U⌉ floor, and a bound above max_m means every
-     candidate is already refuted. *)
-  Alcotest.(check bool) "start below ceil U is clamped" true
-    (Minproc.min_processors_feasible ~start:1 ~solve running ~max_m:5
-    = Minproc.Exact 4);
-  Alcotest.(check bool) "start beyond max_m" true
-    (Minproc.min_processors_feasible ~start:6 ~solve running ~max_m:5
-    = Minproc.All_infeasible)
-
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                              *)
 
@@ -888,7 +869,6 @@ let () =
       ( "minproc",
         [
           Alcotest.test_case "incremental m search" `Quick test_min_processors_search;
-          Alcotest.test_case "lower-bound start" `Quick test_min_processors_start;
         ] );
       ( "metrics",
         [

@@ -72,6 +72,14 @@ let pinned_5x420 =
       (1, 1, 1, 6); (3, 4, 7, 7); (0, 4, 7, 7); (3, 1, 5, 5); (0, 2, 7, 7);
     ]
 
+(* Interval demand on one processor: on [0, 4) τ1 and τ2 must place 3
+   units each, so their first jobs need 7 units in the 5 slots of their
+   windows (the flow's Hall set), although U = 1 and the hyperperiod
+   supply covers the total demand: the cut passes it, the flow refutes
+   m = 1, and m = 2 is the minimum. *)
+let interval_trap =
+  Taskset.of_tuples [ (0, 3, 4, 6); (0, 4, 5, 12); (10, 1, 2, 12); (5, 1, 1, 12) ]
+
 (* Words one call of [f] allocates, minor and major heap together.  A
    minor collection on each side flushes the allocation counters. *)
 let allocated_words f =
