@@ -180,34 +180,37 @@ let verify_check_cyclic_test =
          let ts, sched = Lazy.force pinned_5x420 in
          ignore (Rt_model.Verify.check_cyclic ts sched)))
 
+let scheduler () =
+  Serve.Scheduler.create
+    ~config:{ (Serve.Scheduler.default_config ()) with workers = 1; jobs_per_request = 1 }
+    ~emit:ignore ()
+
+(* A request for [ts] on 5 processors, schedule included, as the
+   benchmark sends it. *)
+let request ?(no_cache = false) ts =
+  {
+    Serve.Proto.id = "micro";
+    tuples =
+      Array.to_list
+        (Array.map
+           (fun (tk : Rt_model.Task.t) -> Rt_model.Task.(tk.offset, tk.wcet, tk.deadline, tk.period))
+           (Rt_model.Taskset.tasks ts));
+    m = 5;
+    solver = None;
+    wall_s = None;
+    nodes = None;
+    seed = 0;
+    want_schedule = true;
+    no_cache;
+  }
+
 (* A warm feasible cache hit on the same instance, as a serve worker runs
-   it (fingerprint, lookup, relabel, verify-on-hit), and the rendering of
-   its response line, schedule included. *)
+   it (fingerprint, lookup, verify-on-hit), and the rendering of its
+   response line, schedule included. *)
 let pinned_hit =
   lazy
-    (let t =
-       Serve.Scheduler.create
-         ~config:{ (Serve.Scheduler.default_config ()) with workers = 1; jobs_per_request = 1 }
-         ~emit:ignore ()
-     in
-     let req =
-       {
-         Serve.Proto.id = "micro";
-         tuples =
-           Array.to_list
-             (Array.map
-                (fun (tk : Rt_model.Task.t) ->
-                  Rt_model.Task.(tk.offset, tk.wcet, tk.deadline, tk.period))
-                (Rt_model.Taskset.tasks pinned_5x420_taskset));
-         m = 5;
-         solver = None;
-         wall_s = None;
-         nodes = None;
-         seed = 0;
-         want_schedule = true;
-         no_cache = false;
-       }
-     in
+    (let t = scheduler () in
+     let req = request pinned_5x420_taskset in
      ignore (Serve.Scheduler.process t ~queue_s:0. req);
      let hit = Serve.Scheduler.process t ~queue_s:0. req in
      if not hit.Serve.Proto.r_cached then failwith "micro: the pinned request did not hit";
@@ -224,6 +227,51 @@ let proto_render_test =
     (Staged.stage (fun () ->
          let _, _, hit = Lazy.force pinned_hit in
          ignore (Serve.Proto.response_json hit)))
+
+(* Instance 9 of the benchmark's tight corpus, which the LLF witness
+   decides; instance 54 ([tight_searched]) goes on to the flow. *)
+let tight_witnessed =
+  Rt_model.Taskset.of_tuples
+    [
+      (2, 4, 7, 7); (0, 3, 4, 5); (4, 5, 6, 6); (5, 2, 6, 6); (2, 1, 3, 4);
+      (3, 3, 6, 6); (5, 1, 3, 6); (0, 6, 6, 6); (3, 2, 4, 5); (4, 1, 3, 7);
+    ]
+
+(* A serve cache miss as a worker answers it and the daemon writes it:
+   [Scheduler.process] (front door, fingerprint, static pass, verify)
+   plus [Proto.response_json].  [no_cache] makes every call a miss, and
+   skips only the store, which copies nothing. *)
+let serve_miss ts =
+  let t = scheduler () and req = request ~no_cache:true ts in
+  fun () -> Serve.Proto.response_json (Serve.Scheduler.process t ~queue_s:0. req)
+
+let serve_miss_witness = serve_miss tight_witnessed
+let serve_miss_flow = serve_miss tight_searched
+
+let serve_miss_witness_test =
+  Test.make ~name:"serve.miss(tight,witness)" (Staged.stage serve_miss_witness)
+
+let serve_miss_flow_test = Test.make ~name:"serve.miss(tight,flow)" (Staged.stage serve_miss_flow)
+
+(* Words one warm call allocates: all of them, and those in blocks over
+   256 words, which go straight to the major heap.  A minor collection on
+   each side flushes the counters; the least of three calls is kept. *)
+let words_per_call f =
+  ignore (f ());
+  let once () =
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    let major = s1.Gc.major_words -. s0.Gc.major_words in
+    let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+    (s1.Gc.minor_words -. s0.Gc.minor_words +. major -. promoted, major -. promoted)
+  in
+  List.fold_left
+    (fun (a, b) (c, d) -> (Float.min a c, Float.min b d))
+    (Float.infinity, Float.infinity)
+    (List.init 3 (fun _ -> once ()))
 
 let tests =
   Test.make_grouped ~name:"mgrts" ~fmt:"%s/%s"
@@ -247,6 +295,8 @@ let tests =
       verify_check_cyclic_test;
       serve_hit_test;
       proto_render_test;
+      serve_miss_witness_test;
+      serve_miss_flow_test;
       telemetry_disabled_heartbeat_test;
       telemetry_disabled_span_test;
       failpoint_disarmed_test;
@@ -267,4 +317,10 @@ let run () =
       match Analyze.OLS.estimates result with
       | Some [ est ] -> Printf.printf "%-32s %16.1f\n" name est
       | Some _ | None -> Printf.printf "%-32s %16s\n" name "n/a")
-    rows
+    rows;
+  Printf.printf "\n%-32s %16s %16s\n" "words per request" "all" "large blocks";
+  List.iter
+    (fun (name, f) ->
+      let all, large = words_per_call f in
+      Printf.printf "%-32s %16.0f %16.0f\n" name all large)
+    [ ("serve.miss(tight,witness)", serve_miss_witness); ("serve.miss(tight,flow)", serve_miss_flow) ]

@@ -55,10 +55,12 @@ let window_work ts =
    come from (O, C, D, T) as {!Flow} derives them; one array over the
    hyperperiod takes +1 at each release and −1 at each deadline, a
    window that wraps split at the boundary, and its running sum is the
-   count at each slot. *)
+   count at each slot.  The array is scratch ({!Prelude.Scratch}). *)
+let delta_slot : int Scratch.slot = Scratch.slot ()
+
 let all_jobs_supply ts ~m =
   let horizon = Taskset.hyperperiod ts in
-  let delta = Array.make horizon 0 in
+  let delta = Scratch.take delta_slot ~keep:(Scratch.fits horizon) horizon 0 in
   Array.iter
     (fun (task : Task.t) ->
       for k = 0 to (horizon / task.period) - 1 do
@@ -73,11 +75,10 @@ let all_jobs_supply ts ~m =
       done)
     (Taskset.tasks ts);
   let covering = ref 0 and supply = ref 0 in
-  Array.iter
-    (fun d ->
-      covering := !covering + d;
-      supply := !supply + Int.min m !covering)
-    delta;
+  for t = 0 to horizon - 1 do
+    covering := !covering + delta.(t);
+    supply := !supply + Int.min m !covering
+  done;
   !supply
 
 let check_args name ts ~m =

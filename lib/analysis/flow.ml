@@ -1,4 +1,5 @@
 open Rt_model
+module Scratch = Prelude.Scratch
 
 type outcome = Schedule of Schedule.t | Cut of Certificate.t | Stopped
 
@@ -7,11 +8,14 @@ type outcome = Schedule of Schedule.t | Cut of Certificate.t | Stopped
    cyclic pattern depends only on O mod T_i) and owns the window cells
    first_cell.(i) + k·deadline.(i) + d for d < D, cell d being slot
    (release + d) mod T.  The flow on a job→slot edge is its cell's byte;
-   the flows on the source and sink edges are [served] and [load]. *)
+   the flows on the source and sink edges are [served] and [load].  Every
+   array is scratch ({!Prelude.Scratch}), so it may run past its [n],
+   [jobs] or [horizon] entries; nothing reads beyond them. *)
 type net = {
   m : int;
   horizon : int;
   n : int;
+  jobs : int;
   offset : int array;
   wcet : int array;
   deadline : int array;
@@ -31,21 +35,39 @@ type net = {
   path : int array;  (* job, slot, job, slot, … *)
 }
 
+let slot () : int Scratch.slot = Scratch.slot ()
+let offset_slot = slot () and wcet_slot = slot () and deadline_slot = slot ()
+let period_slot = slot () and first_job_slot = slot () and first_cell_slot = slot ()
+let job_task_slot = slot () and served_slot = slot () and load_slot = slot ()
+let job_level_slot = slot () and slot_level_slot = slot () and job_arc_slot = slot ()
+let slot_arc_slot = slot () and queue_slot = slot () and path_slot = slot ()
+let cell_slot = Scratch.bytes_slot ()
+
 let create ts ~m =
   let n = Taskset.size ts and horizon = Taskset.hyperperiod ts in
-  let tasks = Taskset.tasks ts in
-  let field f = Array.map f tasks in
-  let period = field (fun (t : Task.t) -> t.period) in
-  let deadline = field (fun (t : Task.t) -> t.deadline) in
-  let first_job = Array.make (n + 1) 0 and first_cell = Array.make n 0 in
+  let jobs = ref 0 and cells = ref 0 in
   for i = 0 to n - 1 do
+    let t = Taskset.task ts i in
+    jobs := !jobs + (horizon / t.Task.period);
+    cells := !cells + (horizon / t.Task.period * t.Task.deadline)
+  done;
+  let jobs = !jobs and cells = !cells in
+  let keep = Scratch.fits ((6 * n) + 2 + (6 * jobs) + (5 * horizon) + ((cells + 7) / 8)) in
+  let take slot len v = Scratch.take slot ~keep len v in
+  let offset = take offset_slot n 0 and wcet = take wcet_slot n 0 in
+  let deadline = take deadline_slot n 0 and period = take period_slot n 1 in
+  let first_job = take first_job_slot (n + 1) 0 and first_cell = take first_cell_slot n 0 in
+  for i = 0 to n - 1 do
+    let t = Taskset.task ts i in
+    offset.(i) <- t.Task.offset mod t.Task.period;
+    wcet.(i) <- t.Task.wcet;
+    deadline.(i) <- t.Task.deadline;
+    period.(i) <- t.Task.period;
     let count = horizon / period.(i) in
     first_job.(i + 1) <- first_job.(i) + count;
     if i + 1 < n then first_cell.(i + 1) <- first_cell.(i) + (count * deadline.(i))
   done;
-  let jobs = first_job.(n) in
-  let cells = first_cell.(n - 1) + (horizon / period.(n - 1) * deadline.(n - 1)) in
-  let job_task = Array.make jobs 0 in
+  let job_task = take job_task_slot jobs 0 in
   for i = 0 to n - 1 do
     Array.fill job_task first_job.(i) (first_job.(i + 1) - first_job.(i)) i
   done;
@@ -53,26 +75,27 @@ let create ts ~m =
     m;
     horizon;
     n;
-    offset = field (fun (t : Task.t) -> t.offset mod t.period);
-    wcet = field (fun (t : Task.t) -> t.wcet);
+    jobs;
+    offset;
+    wcet;
     deadline;
     period;
     first_job;
     first_cell;
     job_task;
-    served = Array.make jobs 0;
-    load = Array.make horizon 0;
-    cell = Bytes.make cells '\000';
-    job_level = Array.make jobs (-1);
-    slot_level = Array.make horizon (-1);
+    served = take served_slot jobs 0;
+    load = take load_slot horizon 0;
+    cell = Scratch.take_bytes cell_slot ~keep cells '\000';
+    job_level = take job_level_slot jobs (-1);
+    slot_level = take slot_level_slot horizon (-1);
     sink_level = max_int;
-    job_arc = Array.make jobs 0;
-    slot_arc = Array.make horizon 0;
-    queue = Array.make (jobs + horizon) 0;
-    path = Array.make (jobs + horizon + 1) 0;
+    job_arc = take job_arc_slot jobs 0;
+    slot_arc = take slot_arc_slot horizon 0;
+    queue = take queue_slot (jobs + horizon) 0;
+    path = take path_slot (jobs + horizon + 1) 0;
   }
 
-let jobs net = Array.length net.job_task
+let jobs net = net.jobs
 
 let release net g =
   let i = net.job_task.(g) in
@@ -311,7 +334,11 @@ let cut net =
       done
     end
   done;
-  let supply = Array.fold_left (fun acc c -> acc + Int.min net.m c) 0 count in
+  let supply = ref 0 in
+  for t = 0 to net.horizon - 1 do
+    supply := !supply + Int.min net.m count.(t)
+  done;
+  let supply = !supply in
   { Certificate.m = net.m; step = Certificate.Hall { jobs = !members; demand = !demand; supply } }
 
 let solve ~spend ts ~m =

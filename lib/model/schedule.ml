@@ -43,7 +43,7 @@ let of_cells c =
   let horizon = Array.length c.(0) in
   if horizon = 0 then invalid_arg "Schedule.of_cells: empty horizon";
   Array.iter (fun row -> if Array.length row <> horizon then invalid_arg "Schedule.of_cells: ragged") c;
-  { cells = Array.map Array.copy c; horizon }
+  { cells = c; horizon }
 
 let tasks_at t ~time =
   let slot = Prelude.Intmath.imod time t.horizon in

@@ -37,8 +37,10 @@ val relabel : int array -> t -> t
     [map] gives an id below {!idle}. *)
 
 val of_cells : int array array -> t
-(** [of_cells c] wraps [c.(proc).(time)] (copied; rows must be rectangular
-    and non-empty). *)
+(** [of_cells c] wraps [c.(proc).(time)]; rows must be rectangular and
+    non-empty.  The rows are not copied: they are the schedule's cells
+    from then on, so the caller hands them over and keeps no other use
+    of them. *)
 
 val tasks_at : t -> time:int -> int list
 (** Distinct non-idle tasks running in the slot, ascending. *)

@@ -1,3 +1,5 @@
+module Scratch = Prelude.Scratch
+
 type violation =
   | Bad_task of { proc : int; time : int; value : int }
   | Out_of_window of { proc : int; time : int; task : int }
@@ -45,13 +47,25 @@ let collector max_violations =
    job's entry [first.(i) + k] of [received].  C3 is per task:
    [seen.(v)] is [time·m + proc] for the first processor that ran [v]
    in the latest slot that ran it.  Cells of other tasks are only
-   checked for a valid id.  Nothing is allocated per cell. *)
+   checked for a valid id.  Nothing is allocated per cell, and on a warm
+   domain nothing at all: the work arrays come from {!Prelude.Scratch}. *)
+let slot () : int Scratch.slot = Scratch.slot ()
+let off_slot = slot () and per_slot = slot () and dl_slot = slot ()
+let first_slot = slot () and received_slot = slot () and seen_slot = slot ()
+
 let flat_pass ~report ~counted platform ts sched =
   let rows = Schedule.rows sched in
   let m = Array.length rows and horizon = Schedule.horizon sched in
   let n = Taskset.size ts in
-  let off = Array.make n 0 and per = Array.make n 1 and dl = Array.make n 0 in
-  let first = Array.make (n + 1) 0 in
+  let jobs = ref 0 in
+  for i = 0 to n - 1 do
+    jobs := !jobs + (horizon / (Taskset.task ts i).Task.period)
+  done;
+  let jobs = !jobs in
+  let keep = Scratch.fits ((5 * n) + 1 + jobs) in
+  let take slot len v = Scratch.take slot ~keep len v in
+  let off = take off_slot n 0 and per = take per_slot n 1 and dl = take dl_slot n 0 in
+  let first = take first_slot (n + 1) 0 in
   for i = 0 to n - 1 do
     let tk = Taskset.task ts i in
     off.(i) <- tk.Task.offset mod tk.Task.period;
@@ -59,8 +73,8 @@ let flat_pass ~report ~counted platform ts sched =
     dl.(i) <- tk.Task.deadline;
     first.(i + 1) <- first.(i) + (horizon / tk.Task.period)
   done;
-  let received = Array.make first.(n) 0 in
-  let seen = Array.make n (-1) in
+  let received = take received_slot jobs 0 in
+  let seen = take seen_slot n (-1) in
   let unit_rates = Platform.is_identical platform in
   for time = 0 to horizon - 1 do
     let base = time * m in

@@ -9,12 +9,15 @@ type t =
 exception Parse_error of int * string
 
 (* ------------------------------------------------------------------ *)
-(* Parser: recursive descent over a string, tracking one cursor.       *)
+(* Parser: recursive descent over a string, tracking one cursor.  The
+   next character is read in place ([at_end], then [next]), never boxed
+   as an option: a request line is a few hundred characters.           *)
 
 type cursor = { text : string; mutable pos : int }
 
 let error c msg = raise (Parse_error (c.pos, msg))
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+let at_end c = c.pos >= String.length c.text
+let next c = String.unsafe_get c.text c.pos
 
 let advance c = c.pos <- c.pos + 1
 
@@ -28,10 +31,9 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some got when got = ch -> advance c
-  | Some got -> error c (Printf.sprintf "expected %C, got %C" ch got)
-  | None -> error c (Printf.sprintf "expected %C, got end of input" ch)
+  if at_end c then error c (Printf.sprintf "expected %C, got end of input" ch)
+  else if next c = ch then advance c
+  else error c (Printf.sprintf "expected %C, got %C" ch (next c))
 
 let literal c word value =
   let n = String.length word in
@@ -41,137 +43,172 @@ let literal c word value =
   end
   else error c (Printf.sprintf "expected %s" word)
 
-let parse_string_body c =
+(* The rest of a string whose first [c.pos - start] characters, from
+   [start], hold no escape. *)
+let parse_escaped_body c ~start =
   let buf = Buffer.create 16 in
+  Buffer.add_substring buf c.text start (c.pos - start);
   let rec go () =
-    match peek c with
-    | None -> error c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
-      advance c;
-      match peek c with
-      | None -> error c "unterminated escape"
-      | Some e ->
+    if at_end c then error c "unterminated string"
+    else
+      match next c with
+      | '"' -> advance c
+      | '\\' ->
         advance c;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if c.pos + 4 > String.length c.text then error c "truncated \\u escape";
-          let hex = String.sub c.text c.pos 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some v -> v
-            | None -> error c ("bad \\u escape: " ^ hex)
-          in
-          c.pos <- c.pos + 4;
-          (* Encode the scalar as UTF-8; surrogate pairs are not recombined
-             (the protocol never carries any — ids and error texts are
-             ASCII), each half round-trips as a replacement-range byte
-             sequence rather than crashing the daemon. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | other -> error c (Printf.sprintf "bad escape \\%C" other));
-        go ())
-    | Some ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      go ()
+        if at_end c then error c "unterminated escape"
+        else begin
+          let e = next c in
+          advance c;
+          (match e with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' ->
+            if c.pos + 4 > String.length c.text then error c "truncated \\u escape";
+            let hex = String.sub c.text c.pos 4 in
+            let code =
+              match int_of_string_opt ("0x" ^ hex) with
+              | Some v -> v
+              | None -> error c ("bad \\u escape: " ^ hex)
+            in
+            c.pos <- c.pos + 4;
+            (* Encode the scalar as UTF-8; surrogate pairs are not
+               recombined (the protocol never carries any — ids and error
+               texts are ASCII), each half round-trips as a
+               replacement-range byte sequence rather than crashing the
+               daemon. *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+          | other -> error c (Printf.sprintf "bad escape \\%C" other));
+          go ()
+        end
+      | ch ->
+        advance c;
+        Buffer.add_char buf ch;
+        go ()
   in
   go ();
   Buffer.contents buf
 
+(* A string with no escape, the protocol's only kind, is one [String.sub]. *)
+let parse_string_body c =
+  let start = c.pos in
+  let n = String.length c.text in
+  while c.pos < n && match next c with '"' | '\\' -> false | _ -> true do
+    advance c
+  done;
+  if c.pos < n && next c = '"' then begin
+    advance c;
+    String.sub c.text start (c.pos - 1 - start)
+  end
+  else parse_escaped_body c ~start
+
+let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+
+(* The value of the digits in [text] from [i] to [stop], or -1 if some
+   character there is not a digit. *)
+let rec magnitude text ~stop i acc =
+  if i = stop then acc
+  else
+    match text.[i] with
+    | '0' .. '9' as d -> magnitude text ~stop (i + 1) ((acc * 10) + Char.code d - 48)
+    | _ -> -1
+
+(* An optional minus and at most 15 digits, every integer the protocol
+   carries, is read digit by digit: it is exact in a float, and reads as
+   [float_of_string] would read it.  Anything else goes through
+   [float_of_string]. *)
 let parse_number c =
   let start = c.pos in
   let n = String.length c.text in
-  let is_num_char ch =
-    match ch with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-  in
-  while c.pos < n && is_num_char c.text.[c.pos] do
+  while c.pos < n && is_num_char (next c) do
     advance c
   done;
   if c.pos = start then error c "expected a number";
-  let span = String.sub c.text start (c.pos - start) in
-  match float_of_string_opt span with
-  | Some v -> Num v
-  | None -> error c ("bad number: " ^ span)
+  let neg = c.text.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  let digits = c.pos - first in
+  let v = if digits >= 1 && digits <= 15 then magnitude c.text ~stop:c.pos first 0 else -1 in
+  if v >= 0 then Num (if neg then -.float_of_int v else float_of_int v)
+  else
+    let span = String.sub c.text start (c.pos - start) in
+    match float_of_string_opt span with
+    | Some v -> Num v
+    | None -> error c ("bad number: " ^ span)
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> error c "unexpected end of input"
-  | Some '{' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some '}' then begin
+  if at_end c then error c "unexpected end of input"
+  else
+    match next c with
+    | '{' ->
       advance c;
-      Obj []
-    end
-    else begin
-      let fields = ref [] in
-      let rec fields_loop () =
-        skip_ws c;
-        expect c '"';
-        let key = parse_string_body c in
-        skip_ws c;
-        expect c ':';
-        let v = parse_value c in
-        fields := (key, v) :: !fields;
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          fields_loop ()
-        | Some '}' -> advance c
-        | _ -> error c "expected ',' or '}' in object"
-      in
-      fields_loop ();
-      Obj (List.rev !fields)
-    end
-  | Some '[' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some ']' then begin
+      skip_ws c;
+      if (not (at_end c)) && next c = '}' then begin
+        advance c;
+        Obj []
+      end
+      else Obj (parse_fields c)
+    | '[' ->
       advance c;
-      Arr []
+      skip_ws c;
+      if (not (at_end c)) && next c = ']' then begin
+        advance c;
+        Arr []
+      end
+      else Arr (parse_items c)
+    | '"' ->
+      advance c;
+      Str (parse_string_body c)
+    | 't' -> literal c "true" (Bool true)
+    | 'f' -> literal c "false" (Bool false)
+    | 'n' -> literal c "null" Null
+    | _ -> parse_number c
+
+(* The separator after a member: [true] for another member, [false] at
+   the closing bracket. *)
+and more c ~close ~msg =
+  skip_ws c;
+  if at_end c then error c msg
+  else
+    let ch = next c in
+    if ch = ',' then begin
+      advance c;
+      true
     end
-    else begin
-      let items = ref [] in
-      let rec items_loop () =
-        let v = parse_value c in
-        items := v :: !items;
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          items_loop ()
-        | Some ']' -> advance c
-        | _ -> error c "expected ',' or ']' in array"
-      in
-      items_loop ();
-      Arr (List.rev !items)
+    else if ch = close then begin
+      advance c;
+      false
     end
-  | Some '"' ->
-    advance c;
-    Str (parse_string_body c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some _ -> parse_number c
+    else error c msg
+
+and[@tail_mod_cons] parse_fields c =
+  skip_ws c;
+  expect c '"';
+  let key = parse_string_body c in
+  skip_ws c;
+  expect c ':';
+  let v = parse_value c in
+  let field = (key, v) in
+  if more c ~close:'}' ~msg:"expected ',' or '}' in object" then field :: parse_fields c
+  else [ field ]
+
+and[@tail_mod_cons] parse_items c =
+  let v = parse_value c in
+  if more c ~close:']' ~msg:"expected ',' or ']' in array" then v :: parse_items c else [ v ]
 
 let parse text =
   let c = { text; pos = 0 } in
@@ -263,11 +300,17 @@ let to_string v =
   add buf v;
   Buffer.contents buf
 
+(* The calling domain's buffer for [to_string_with_rows], so a serve
+   worker renders every response into one buffer and allocates only the
+   line it returns.  Like {!Scratch}'s arrays it is kept only while it
+   holds at most [Scratch.limit] words. *)
+let rows_buffer = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
 let to_string_with_rows v ~name ~cell rows =
   match v with
   | Obj fields ->
-    let cells = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in
-    let buf = Buffer.create (256 + (3 * cells)) in
+    let buf = Domain.DLS.get rows_buffer in
+    Buffer.clear buf;
     Buffer.add_char buf '{';
     add_fields buf fields;
     (match fields with [] -> () | _ :: _ -> Buffer.add_string buf ", ");
@@ -284,7 +327,9 @@ let to_string_with_rows v ~name ~cell rows =
         Buffer.add_char buf ']')
       rows;
     Buffer.add_string buf "]}";
-    Buffer.contents buf
+    let line = Buffer.contents buf in
+    if Buffer.length buf > 8 * Scratch.limit then Buffer.reset buf;
+    line
   | Null | Bool _ | Num _ | Str _ | Arr _ ->
     invalid_arg "Json.to_string_with_rows: not an object"
 

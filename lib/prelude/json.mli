@@ -36,7 +36,10 @@ val to_string_with_rows :
     [Obj fields] with one more field [name], last, holding [rows] as an
     array of integer arrays whose entry for [x] is [int (cell x)].  It is
     printed straight from the arrays, without building a value per entry:
-    a schedule grid in a serve response has thousands.
+    a schedule grid in a serve response has thousands.  It prints into a
+    buffer of the calling domain, kept while it holds at most
+    {!Scratch.limit} words, so [cell] must not render with this function
+    itself.
     @raise Invalid_argument if the value is not an [Obj]. *)
 
 val int : int -> t

@@ -239,19 +239,25 @@ let run ?horizon ?(policy = EDF) ?(max_hyperperiods = default_max_hyperperiods) 
     busy = st.busy;
   }
 
+let grid_slot : int Prelude.Scratch.slot = Prelude.Scratch.slot ()
+
 let llf_witness ~budget ts ~m =
   check_args "Sim.llf_witness" ts ~m;
   let hp = Taskset.hyperperiod ts and omax = max_offset ts in
   if not (window_fits ~omax ~hp ~m) then None
   else begin
     let st = make_state ts ~m ~policy:LLF in
-    (* Slot t lands at t mod H: when the run ends, the buffer holds its
-       last hyperperiod, folded.  Slots arrive in order, so a counter
-       tracks t mod H. *)
-    let rows = Array.make_matrix m hp Schedule.idle and slot = ref 0 in
+    (* Processor p's cell of slot t lands at p·H + t mod H: when the run
+       ends, the grid holds its last hyperperiod, folded.  Slots arrive in
+       order, so a counter tracks t mod H.  The grid is scratch
+       ({!Prelude.Scratch}); only a witness is copied out of it. *)
+    let grid =
+      Prelude.Scratch.take grid_slot ~keep:(Prelude.Scratch.fits (m * hp)) (m * hp) Schedule.idle
+    in
+    let slot = ref 0 in
     let emit _ =
       for p = 0 to m - 1 do
-        rows.(p).(!slot) <- st.picked.(p)
+        grid.((p * hp) + !slot) <- st.picked.(p)
       done;
       slot := if !slot = hp - 1 then 0 else !slot + 1
     in
@@ -263,7 +269,9 @@ let llf_witness ~budget ts ~m =
     if (not exact) || st.nmisses > 0 then None
     else begin
       flush_tail_misses st horizon;
-      let sched = Schedule.of_cells rows in
-      if st.nmisses = 0 && Verify.is_feasible ts sched then Some sched else None
+      if st.nmisses > 0 then None
+      else
+        let sched = Schedule.of_cells (Array.init m (fun p -> Array.sub grid (p * hp) hp)) in
+        if Verify.is_feasible ts sched then Some sched else None
     end
   end

@@ -74,7 +74,7 @@ val llf_witness :
 
     The run is {!run}[ ~policy:LLF] without a horizon, through the same
     kernel, but each slot [t] is written to cell [t mod T] of an [m × T]
-    schedule instead of a growing grid, and the run stops at the first
+    grid instead of a growing one, and the run stops at the first
     deadline miss.  When the backlog repeats at a hyperperiod boundary,
     the scheduler repeats that hyperperiod forever (the periodicity
     argument above), so the buffer — the last hyperperiod, folded mod
@@ -84,8 +84,9 @@ val llf_witness :
     [None] when the first window [(O_max + T)·m] exceeds the 10^7-cell
     cap (checked before anything is allocated), on a miss, when no
     repetition shows within the caps of {!run}, or once [budget] (polled
-    once per hyperperiod chunk) is exceeded or cancelled.  Allocates two
-    [m × T] grids (the buffer and the returned copy), O(n + m) words of
-    state and what the check needs; nothing per simulated slot.
+    once per hyperperiod chunk) is exceeded or cancelled.  The grid is
+    per-domain scratch ({!Prelude.Scratch}); a warm call allocates the
+    returned schedule, when there is one, and O(n + m) words of state,
+    nothing per simulated slot.
     @raise Invalid_argument on [m < 1] or a non-constrained-deadline
     system. *)

@@ -1,5 +1,5 @@
 type entry =
-  | Feasible_canonical of Rt_model.Schedule.t
+  | Feasible_entry of { schedule : Rt_model.Schedule.t; stored_by : Fingerprint.t }
   | Infeasible_entry
 
 type slot = { value : entry; mutable last_used : int }

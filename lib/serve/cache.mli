@@ -1,8 +1,8 @@
 (** The serve daemon's verdict cache, keyed on canonical fingerprints.
 
-    Only {e decisive} verdicts are cached: [Feasible] (the schedule,
-    stored in canonical task-id space — see {!Fingerprint}) and
-    [Infeasible].  [Limit]/[Memout] depend on the request's budget, so
+    Only {e decisive} verdicts are cached: [Feasible] (the schedule the
+    storing request was answered with, not a copy, next to that
+    request's fingerprint — see {!Fingerprint}) and [Infeasible].  [Limit]/[Memout] depend on the request's budget, so
     caching them would let one tenant's tight budget answer another
     tenant's generous one.
 
@@ -12,8 +12,13 @@
     O(n) but amortized O(1) per store. *)
 
 type entry =
-  | Feasible_canonical of Rt_model.Schedule.t
-      (** Schedule in canonical task ids; relabel per request on a hit. *)
+  | Feasible_entry of { schedule : Rt_model.Schedule.t; stored_by : Fingerprint.t }
+      (** [schedule] in the task ids of the request [stored_by] was made
+          for; a hit maps them to its own through
+          {!Fingerprint.relabeling}.  The schedule is shared with the
+          storing response and with every hit whose permutation composes
+          to the identity, so nobody may write to it: verify-on-hit turns
+          a corrupted entry into a contained crash, never a verdict. *)
   | Infeasible_entry
 
 type t

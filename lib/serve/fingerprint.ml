@@ -54,5 +54,10 @@ let of_taskset ts ~m =
 
 let key fp = fp.key
 
-let to_canonical fp sched = Schedule.relabel fp.canon_of_orig sched
-let from_canonical fp sched = Schedule.relabel fp.orig_of_canon sched
+(* Task a of the stored request has canonical id canon_of_orig.(a),
+   which names task orig_of_canon.(that) of [fp]'s request. *)
+let relabeling ~stored fp =
+  let n = Array.length fp.orig_of_canon in
+  let map = Array.init n (fun a -> fp.orig_of_canon.(stored.canon_of_orig.(a))) in
+  let rec identity a = a >= n || (map.(a) = a && identity (a + 1)) in
+  if identity 0 then None else Some map

@@ -11,11 +11,14 @@
     [m] — no collisions, so cache soundness needs no probabilistic
     argument.
 
-    Feasible schedules are cached in {e canonical} task-id space: the
-    fingerprint carries the permutation between the request's task ids and
-    the canonical (sorted) ids, so a hit for a differently-ordered request
-    relabels the cached schedule back into that request's id space
-    ({!from_canonical}). *)
+    A feasible schedule is cached as its storing request solved it, in
+    that request's task ids, next to that request's fingerprint: the
+    fingerprint carries the permutation between the request's task ids
+    and the canonical (sorted) ones, so composing the storing request's
+    permutation with a hit's ({!relabeling}) maps the stored schedule's
+    ids to the hit's.  When both list their tasks in the same order the
+    composition is the identity and the hit reads the stored grid as it
+    is. *)
 
 type t
 
@@ -26,10 +29,8 @@ val key : t -> string
 (** The exact canonical form as a string — the cache key.  Equal iff the
     [(taskset, m)] pairs are equal up to task reordering. *)
 
-val to_canonical : t -> Rt_model.Schedule.t -> Rt_model.Schedule.t
-(** Relabel a schedule for the fingerprinted taskset into canonical task
-    ids (used when storing). *)
-
-val from_canonical : t -> Rt_model.Schedule.t -> Rt_model.Schedule.t
-(** Relabel a canonically-stored schedule into the fingerprinted taskset's
-    task ids (used on a hit). *)
+val relabeling : stored:t -> t -> int array option
+(** [relabeling ~stored fp], for two fingerprints with equal keys: the
+    map from task ids of [stored]'s task set to task ids of [fp]'s,
+    [map.(a)] being the task of [fp]'s set that has task [a]'s canonical
+    position, or [None] when that map is the identity. *)

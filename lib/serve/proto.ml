@@ -34,7 +34,7 @@ let tuples_of_json rows =
     (fun i row ->
       match Json.to_list row with
       | Some [ o; c; d; t ] ->
-        let g = field_int "taskset" in
+        let g v = field_int "taskset" v in
         (g o, g c, g d, g t)
       | Some _ | None ->
         raise (Bad (Printf.sprintf "taskset row %d must be an [O, C, D, T] quadruple" i)))

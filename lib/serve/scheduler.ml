@@ -153,15 +153,22 @@ let run t (req : Proto.solve_request) =
     let key = Fingerprint.key fp in
     let cached_entry = if req.Proto.no_cache then None else Cache.find t.cache ~key in
     match cached_entry with
-    | Some (Cache.Feasible_canonical canon) ->
-      let sched = Fingerprint.from_canonical fp canon in
+    | Some (Cache.Feasible_entry { schedule; stored_by }) ->
+      (* A request that lists its tasks as the storing one did reads the
+         stored grid itself; any other order needs a grid in its own ids,
+         its answer. *)
+      let sched =
+        match Fingerprint.relabeling ~stored:stored_by fp with
+        | None -> schedule
+        | Some map -> Schedule.relabel map schedule
+      in
       (* Verify-on-hit: the cache is sound by construction (DESIGN.md
-         §11), but verifying the witness costs O((m + n)·H) time and
-         words for constrained deadlines, against a search that cost
-         orders more — cheap insurance.  A violation here is a bug,
-         surfaced as a contained crash, never as a wrong verdict.  The
-         hit's [time_s] stays 0, as it reports solve time and a hit
-         solves nothing; the span shows the check in traces. *)
+         §11), but verifying the witness costs O((m + n)·H) time, and on
+         a warm worker O(n) words, against a search that cost orders
+         more — cheap insurance.  A violation here is a bug, surfaced as
+         a contained crash, never as a wrong verdict.  The hit's [time_s]
+         stays 0, as it reports solve time and a hit solves nothing; the
+         span shows the check in traces. *)
       Telemetry.with_span "verify-hit" ~cat:"serve" (fun () ->
           match Verify.check_cyclic ts sched with
           | Ok () -> ()
@@ -203,7 +210,7 @@ let run t (req : Proto.solve_request) =
       (match verdict with
       | Core.Feasible sched ->
         if not req.Proto.no_cache then
-          Cache.store t.cache ~key (Cache.Feasible_canonical (Fingerprint.to_canonical fp sched));
+          Cache.store t.cache ~key (Cache.Feasible_entry { schedule = sched; stored_by = fp });
         decided_response req ~verdict:"feasible" ~cached:false ~solver:solver_name ~winner
           ~time_s ~stats ~schedule:(Some sched)
       | Core.Infeasible ->

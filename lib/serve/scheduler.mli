@@ -71,10 +71,11 @@ val handle_line : t -> fallback_id:string -> string -> [ `Continue | `Shutdown ]
 
 val process : t -> queue_s:float -> Proto.solve_request -> Proto.response
 (** The per-request pipeline a worker runs: front-door exact-utilization
-    check, cache lookup (with relabeling and verify-on-hit), budgeted
-    solve, cache store.  Exposed so tests can drive single requests
-    synchronously, outside {!serve}; [handle_line] is the concurrent
-    entry point. *)
+    check, cache lookup (verify-on-hit, relabeling only when the request
+    orders its tasks otherwise than the one that stored the entry),
+    budgeted solve, cache store.  Exposed so tests and the benchmark's
+    replay can drive single requests synchronously, outside {!serve};
+    [handle_line] is the concurrent entry point. *)
 
 val counters : t -> Proto.counters
 (** Live snapshot.  [received] counts solve attempts (including rejected)

@@ -128,23 +128,62 @@ let test_wrapped_window_instance () =
   | O.Feasible sched, _ -> Alcotest.(check bool) "verified" true (Verify.is_feasible ts sched)
   | (O.Infeasible | O.Limit | O.Memout _), _ -> Alcotest.fail "feasible via wrap"
 
+(* Two seconds or so of the paper's search, and a wall besides. *)
+let agreement_budget () = Prelude.Timer.budget ~wall_s:5.0 ~nodes:2_000_000 ()
+
 let prop_agrees_with_csp1 =
-  (* Reference verdict from the CDCL path (fast on both SAT and UNSAT);
-     the dedicated chronological search must match it under every
-     heuristic and its schedules must verify. *)
+  (* Reference verdict from the CDCL path (fast on both SAT and UNSAT).
+     Every verdict the paper's search (memo off) reaches, under any
+     heuristic, must match it, and its schedules must verify.  A run
+     that ends at [Limit] reaches none and is set apart, not failed: the
+     memo-off search can thrash on a feasible instance under any order,
+     D−C's included (see "thrash instances" below), so each run gets a
+     node budget besides the wall.  The engine with its memo on, under
+     D−C, must decide, so that no instance passes on limits alone. *)
   qtest ~count:80 "dedicated CSP2 = CSP1/SAT on random instances, all heuristics"
     (Test_util.instance_gen ~nmax:4 ~tmax:5 ())
     (fun (ts, m) ->
       let reference, _ = Encodings.Csp1_sat.solve ~budget:(budget ()) ts ~m in
+      let agrees = function
+        | O.Feasible sched, _ -> Verify.is_feasible ts sched && O.is_feasible reference
+        | O.Infeasible, _ -> not (O.is_feasible reference)
+        | (O.Limit | O.Memout _), _ -> false
+      in
       decided reference
+      && agrees (Csp2.Opt.solve ~heuristic:Csp2.Heuristic.DC ~budget:(agreement_budget ()) ts ~m)
       && List.for_all
            (fun h ->
-             match paper ~heuristic:h ~budget:(budget ()) ts ~m with
-             | O.Feasible sched, _ ->
-               Verify.is_feasible ts sched && O.is_feasible reference
-             | O.Infeasible, _ -> not (O.is_feasible reference)
-             | (O.Limit | O.Memout _), _ -> false)
+             match paper ~heuristic:h ~budget:(agreement_budget ()) ts ~m with
+             | (O.Limit | O.Memout _), _ -> true
+             | outcome -> agrees outcome)
            Csp2.Heuristic.all)
+
+(* Two feasible instances (T = 60, U = 0.983, one processor) on which the
+   memo-off search thrashes, under node budgets so that the outcome is
+   the same on any host.  With offsets 0, 1, 2, D−C schedules the first
+   in 60 nodes and the memo-on engine under the identity order in 175,
+   while the memo-off identity order has found nothing after 10⁵ nodes
+   (it needs over 10⁸).  With offsets 3, 2, 4 even memo-off D−C needs
+   4.2·10⁷ nodes, and the memo-on engine 181. *)
+let test_thrash_instances () =
+  let shifted = Taskset.of_tuples [ (0, 1, 4, 4); (1, 1, 2, 3); (2, 2, 4, 5) ] in
+  let drawn = Taskset.of_tuples [ (3, 1, 4, 4); (2, 1, 2, 3); (4, 2, 4, 5) ] in
+  let nodes n = Prelude.Timer.budget ~nodes:n () in
+  let feasible name ts = function
+    | O.Feasible sched, _ -> Alcotest.(check bool) name true (Verify.is_feasible ts sched)
+    | (O.Infeasible | O.Limit | O.Memout _), _ -> Alcotest.failf "%s: no schedule" name
+  in
+  let thrashes name = function
+    | O.Limit, _ -> ()
+    | (O.Feasible _ | O.Infeasible | O.Memout _), _ ->
+      Alcotest.failf "%s decided within 10^5 nodes" name
+  in
+  let open Csp2.Heuristic in
+  feasible "memo-off D-C" shifted (paper ~heuristic:DC ~budget:(nodes 1_000) shifted ~m:1);
+  feasible "memo-on Id" shifted (Csp2.Opt.solve ~heuristic:Id ~budget:(nodes 1_000) shifted ~m:1);
+  thrashes "memo-off Id" (paper ~heuristic:Id ~budget:(nodes 100_000) shifted ~m:1);
+  feasible "memo-on D-C" drawn (Csp2.Opt.solve ~heuristic:DC ~budget:(nodes 1_000) drawn ~m:1);
+  thrashes "memo-off D-C" (paper ~heuristic:DC ~budget:(nodes 100_000) drawn ~m:1)
 
 let prop_stats_sane =
   qtest ~count:60 "solver stats are consistent"
@@ -771,6 +810,7 @@ let () =
           prop_stats_sane;
           prop_no_urgency_agrees;
           Alcotest.test_case "urgency off is weaker" `Quick test_no_urgency_weaker;
+          Alcotest.test_case "thrash instances under node budgets" `Quick test_thrash_instances;
         ] );
       ( "optimized",
         [

@@ -252,9 +252,9 @@ let test_budget () =
     "skip reported" [ "flow stopped early: work budget exhausted" ] report.A.skipped
 
 (* On the pinned 5×420 instance (10 tasks, 758 jobs, 3 496 window
-   cells), one flow, schedule included, allocates at most 4 words per
-   window cell: one byte of flow per cell, and per-job and per-slot
-   arrays. *)
+   cells), one warm flow allocates at most 1 word per window cell: its
+   work arrays are the domain's scratch, so what it allocates is the
+   2 105-word schedule it returns. *)
 let test_allocation () =
   let ts = Test_util.pinned_5x420 and m = 5 in
   let cells =
@@ -268,8 +268,34 @@ let test_allocation () =
       (List.init 3 (fun _ -> Test_util.allocated_words (fun () -> flow ts ~m)))
   in
   let per_cell = words /. float_of_int cells in
-  if per_cell > 4. then
-    Alcotest.failf "the flow allocated %.2f words per window cell (limit 4)" per_cell
+  if per_cell > 1. then
+    Alcotest.failf "the flow allocated %.2f words per window cell (limit 1)" per_cell
+
+(* The stages that draw their work arrays from {!Prelude.Scratch}: the
+   LLF witness (its grid, and the check of a witness), the all-jobs cut
+   and the flow, and the check of the flow's schedule.  A small instance
+   leaves arrays on the domain, which a second call reuses without
+   growing them.  An instance over the bound in every stage (138 409
+   jobs over T = 129 600, 259 200 cells on 2 processors) gets fresh
+   arrays and leaves the domain's scratch as it found it. *)
+let test_scratch_bound () =
+  let stages ts ~m =
+    ignore (Sched.Sim.llf_witness ~budget:Prelude.Timer.unlimited ts ~m);
+    match (A.analyze ts ~m).A.verdict with
+    | A.Feasible sched ->
+      check Alcotest.bool "flow schedule verifies" true (Verify.check ts sched = Ok ())
+    | A.Infeasible _ | A.Undecided -> Alcotest.fail "a feasible instance was not scheduled"
+  in
+  let retained = Prelude.Scratch.retained_words in
+  stages Test_util.pinned_5x420 ~m:5;
+  let warm = retained () in
+  check Alcotest.bool "a small instance keeps scratch" true (warm > 0);
+  stages Test_util.pinned_5x420 ~m:5;
+  check Alcotest.int "a warm call reuses it" warm (retained ());
+  let big = Taskset.of_tuples [ (0, 1, 1, 1); (0, 1, 5, 64); (0, 1, 7, 81); (0, 1, 3, 25) ] in
+  check Alcotest.bool "over the bound" false (Prelude.Scratch.fits (Taskset.hyperperiod big));
+  stages big ~m:2;
+  check Alcotest.int "an instance over the bound keeps none" warm (retained ())
 
 let () =
   Alcotest.run "flow"
@@ -281,6 +307,8 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "work budget" `Quick test_budget;
-          Alcotest.test_case "at most 4 words per cell" `Quick test_allocation;
+          Alcotest.test_case "at most 1 words per cell" `Quick test_allocation;
+          Alcotest.test_case "scratch: an instance over the bound keeps none" `Quick
+            test_scratch_bound;
         ] );
     ]

@@ -630,6 +630,21 @@ let test_check_cyclic_allocation () =
   if per_cell > 1. then
     Alcotest.failf "check_cyclic allocated %.1f words per cell (limit 1)" per_cell
 
+(* On a warm domain the flat pass's arrays are scratch ({!Prelude.Scratch}),
+   so one [check_cyclic] call on the pinned witness allocates O(n) words:
+   at most 10 per task (7.8 measured, 0.04 per cell).  Before they were
+   scratch it allocated 88.8 words per task. *)
+let test_check_cyclic_warm_allocation () =
+  let ts, sched = Lazy.force pinned_witness in
+  ignore (Verify.check_cyclic ts sched);
+  let words =
+    List.fold_left Float.min Float.infinity
+      (List.init 3 (fun _ -> Test_util.allocated_words (fun () -> Verify.check_cyclic ts sched)))
+  in
+  let per_task = words /. float_of_int (Taskset.size ts) in
+  if per_task > 10. then
+    Alcotest.failf "a warm check_cyclic allocated %.1f words per task (limit 10)" per_task
+
 (* ------------------------------------------------------------------ *)
 (* Clone                                                                *)
 
@@ -859,6 +874,8 @@ let () =
             test_check_cyclic_allocation;
           prop_check_matches_reference;
           Alcotest.test_case "single-cell mutations refused" `Quick test_single_cell_mutations;
+          Alcotest.test_case "cyclic, warm: at most 10 words per task" `Quick
+            test_check_cyclic_warm_allocation;
         ] );
       ( "clone",
         [

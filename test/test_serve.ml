@@ -80,35 +80,26 @@ let prop_fingerprint_m_sensitive =
            (Fingerprint.key (Fingerprint.of_taskset ts ~m:(m + 1)))))
 
 let test_fingerprint_relabel_roundtrip () =
-  (* The running example, reordered: relabeling to canonical ids and back
-     must be the identity, and the canonical schedule must verify against
-     the canonically-sorted taskset. *)
+  (* The running example in two task orders: the schedule solved for one
+     order, relabeled for the other, verifies there, and relabeled back
+     it is the schedule itself.  A request's own order composes to the
+     identity, which a hit reads without relabeling. *)
   let ts = Taskset.of_tuples [ (1, 3, 4, 4); (0, 2, 2, 3); (0, 1, 2, 2) ] in
+  let reordered = Taskset.of_tuples [ (0, 1, 2, 2); (1, 3, 4, 4); (0, 2, 2, 3) ] in
   let m = 2 in
   match Core.solve ts ~m with
-  | Core.Feasible sched, _ ->
-    let fp = Fingerprint.of_taskset ts ~m in
-    let canon = Fingerprint.to_canonical fp sched in
-    Alcotest.(check bool) "roundtrip identity" true
-      (Schedule.equal sched (Fingerprint.from_canonical fp canon));
-    let sorted_ts =
-      Taskset.of_tasks
-        (List.sort
-           (fun (a : Task.t) (b : Task.t) ->
-             let c = Int.compare a.Task.period b.Task.period in
-             if c <> 0 then c
-             else
-               let c = Int.compare a.Task.deadline b.Task.deadline in
-               if c <> 0 then c
-               else
-                 let c = Int.compare a.Task.wcet b.Task.wcet in
-                 if c <> 0 then c else Int.compare a.Task.offset b.Task.offset)
-           (Array.to_list (Taskset.tasks ts)))
-    in
-    (* Whatever the canonical order is, it is *a* reordering, so the
-       relabeled schedule must be feasible for the field-sorted taskset. *)
-    Alcotest.(check bool) "canonical schedule feasible for sorted taskset" true
-      (match Verify.check_cyclic sorted_ts canon with Ok () -> true | Error _ -> false)
+  | Core.Feasible sched, _ -> (
+    let fp = Fingerprint.of_taskset ts ~m and fp' = Fingerprint.of_taskset reordered ~m in
+    Alcotest.(check bool) "same order is the identity" true
+      (Fingerprint.relabeling ~stored:fp fp = None);
+    match (Fingerprint.relabeling ~stored:fp fp', Fingerprint.relabeling ~stored:fp' fp) with
+    | Some there, Some back ->
+      let moved = Schedule.relabel there sched in
+      Alcotest.(check bool) "relabeled schedule feasible for the other order" true
+        (match Verify.check_cyclic reordered moved with Ok () -> true | Error _ -> false);
+      Alcotest.(check bool) "roundtrip identity" true
+        (Schedule.equal sched (Schedule.relabel back moved))
+    | _ -> Alcotest.fail "a reordering must relabel")
   | _ -> Alcotest.fail "running example must be feasible on 2 processors"
 
 (* The key's bytes, pinned: the running example (listed out of canonical
@@ -289,6 +280,24 @@ let prop_render_matches_tree =
             (Schedule.of_cells
                (Array.of_list (List.map (fun row -> Array.of_list (ints (Option.get row))) rows)))
         | Some _ | None -> false))
+
+(* [Proto.parse_request] on a benchmark request line allocates at most
+   800 words, half of the 1 604 it took when the parser boxed an option
+   per character read and sent every integer through [float_of_string];
+   it reads 656. *)
+let test_parse_allocation () =
+  let module W = Mgrts_bench.Workload in
+  let line = W.request_line ~id:"12" (W.corpus W.Tight).(0).W.inst in
+  let parse () = Proto.parse_request ~fallback_id:"x" line in
+  (match parse () with
+  | Proto.Solve _ -> ()
+  | Proto.Stats_request | Proto.Shutdown_request | Proto.Malformed _ ->
+    Alcotest.fail "a corpus line is not a solve request");
+  let words =
+    List.fold_left Float.min Float.infinity (List.init 3 (fun _ -> Test_util.allocated_words parse))
+  in
+  if words > 800. then
+    Alcotest.failf "parsing a request line allocated %.0f words (limit 800)" words
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: cache soundness, error classification, containment,
@@ -605,10 +614,13 @@ let test_failpoint_soak () =
   Alcotest.(check bool) "a crash was contained" true (c.Proto.crashed >= 1)
 
 (* A warm feasible hit on the pinned n = 10, m = 5, H = 420 instance:
-   [Scheduler.process] (fingerprint, lookup, relabel, verify-on-hit)
-   allocates at most 4 words per schedule cell, and rendering its
-   response at most 2.  The relabeled schedule alone is one word per
-   cell; the response line about one third of a word. *)
+   [Scheduler.process] (fingerprint, lookup, verify-on-hit) allocates at
+   most 1 word per schedule cell, and rendering its response at most 1.
+   The hit lists its tasks as the storing request did, so it reads the
+   stored schedule itself, and verifies it with the domain's scratch
+   arrays: about 0.3 words per cell are left (a relabeled copy would be
+   one word per cell).  The response line is about a third of a word per
+   cell, printed into the domain's render buffer. *)
 let pinned_hit () =
   let ts = Test_util.pinned_5x420 and m = 5 in
   let t = Scheduler.create ~config:(small_config ()) ~emit:(fun _ -> ()) () in
@@ -632,14 +644,58 @@ let words_per_cell cells f =
 let test_hit_allocation () =
   let t, req, _, cells = pinned_hit () in
   let per_cell = words_per_cell cells (fun () -> Scheduler.process t ~queue_s:0. req) in
-  if per_cell > 4. then
-    Alcotest.failf "a warm hit allocated %.1f words per cell (limit 4)" per_cell
+  if per_cell > 1. then
+    Alcotest.failf "a warm hit allocated %.1f words per cell (limit 1)" per_cell
 
 let test_hit_render_allocation () =
   let _, _, hit, cells = pinned_hit () in
   let per_cell = words_per_cell cells (fun () -> Proto.response_json hit) in
-  if per_cell > 2. then
-    Alcotest.failf "rendering a hit allocated %.1f words per cell (limit 2)" per_cell
+  if per_cell > 1. then
+    Alcotest.failf "rendering a hit allocated %.1f words per cell (limit 1)" per_cell
+
+(* Words [f] allocates in blocks over 256 words, which go straight to the
+   major heap: [major_words - promoted_words] between two minor
+   collections. *)
+let large_block_words f =
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  let large (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+  large after -. large before
+
+(* A warm pass of the benchmark's 64 tight requests, each a miss on a
+   fresh scheduler as in one benchmark pass, through [Scheduler.process]
+   and [Proto.response_json].  Before the serve stages drew their work
+   arrays from per-domain scratch, such a pass allocated about 289 000
+   words in large blocks (4.5 k per request): the witness grid twice,
+   [Verify]'s per-job table, the cut's and the flow's arrays, the cache's
+   relabeled copy and the render buffer.  Now what is left is each
+   request's answer, its schedule and its response line: the gate is a
+   third of the old volume. *)
+let test_tight_pass_large_blocks () =
+  let module W = Mgrts_bench.Workload in
+  let requests =
+    Array.map
+      (fun (it : W.item) ->
+        match Proto.parse_request ~fallback_id:"tight" (W.request_line ~id:"tight" it.W.inst) with
+        | Proto.Solve req -> req
+        | Proto.Stats_request | Proto.Shutdown_request | Proto.Malformed _ ->
+          Alcotest.fail "a corpus line is not a solve request")
+      (W.corpus W.Tight)
+  in
+  let pass () =
+    let t = Scheduler.create ~config:(W.scheduler_config W.Tight) ~emit:ignore () in
+    Array.iter (fun req -> ignore (Proto.response_json (Scheduler.process t ~queue_s:0. req))) requests
+  in
+  pass ();
+  let words =
+    List.fold_left Float.min Float.infinity (List.init 3 (fun _ -> large_block_words pass))
+  in
+  if words > 289_000. /. 3. then
+    Alcotest.failf "a tight pass allocated %.0f words in large blocks (limit %.0f)" words
+      (289_000. /. 3.)
 
 let () =
   Alcotest.run "serve"
@@ -661,6 +717,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_proto_parse;
           Alcotest.test_case "response json" `Quick test_proto_response_json;
           prop_render_matches_tree;
+          Alcotest.test_case "parse: a request line in at most 800 words" `Quick
+            test_parse_allocation;
         ] );
       ( "scheduler",
         [
@@ -676,8 +734,10 @@ let () =
           Alcotest.test_case "failpoint soak" `Quick test_failpoint_soak;
           Alcotest.test_case "warm session spawns no domain" `Quick
             test_warm_session_spawns_no_domain;
-          Alcotest.test_case "warm hit: at most 4 words per cell" `Quick test_hit_allocation;
-          Alcotest.test_case "hit render: at most 2 words per cell" `Quick
+          Alcotest.test_case "warm hit: at most 1 words per cell" `Quick test_hit_allocation;
+          Alcotest.test_case "hit render: at most 1 words per cell" `Quick
             test_hit_render_allocation;
+          Alcotest.test_case "tight pass: a third of the large blocks" `Quick
+            test_tight_pass_large_blocks;
         ] );
     ]
